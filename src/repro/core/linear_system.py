@@ -7,14 +7,17 @@ linear regardless of how nonlinear the underlying expressions are — this
 is the first stage of QTurbo's two-level solve.
 
 Sign information survives into the linear stage: a Van der Waals channel
-can only produce α ≥ 0, so the solve uses bounded least squares
-(:func:`scipy.optimize.lsq_linear`) whenever any channel is sign-
-constrained, and plain least squares otherwise.
+can only produce α ≥ 0, so whenever any channel is sign-constrained the
+solve is a bounded-variable least-squares active-set method (BVLS, via
+:func:`scipy.optimize.lsq_linear` on a dense copy of the matrix).  BVLS
+terminates at the exact constrained optimum, so a consistent target is
+reached to rounding (ε₁ ≈ 1e-14); a solve that runs out of iterations
+raises :class:`~repro.errors.CompilationError` instead of returning an
+unconverged iterate.  Unbounded systems use the cached pseudoinverse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -26,7 +29,12 @@ from repro.aais.channels import Channel
 from repro.errors import CompilationError
 from repro.hamiltonian.pauli import PauliString
 
-__all__ = ["GlobalLinearSystem", "LinearSolution"]
+__all__ = ["BOUNDED_SOLVER", "GlobalLinearSystem", "LinearSolution"]
+
+#: The :func:`~scipy.optimize.lsq_linear` method of the bounded solve.
+#: Part of the compiler fingerprint: snapshots written by another solver
+#: must not be replayed as this one's results.
+BOUNDED_SOLVER = "bvls"
 
 
 @dataclass
@@ -152,17 +160,33 @@ class GlobalLinearSystem:
         self,
         b_target: Mapping[PauliString, float],
         tol: float = 1e-12,
+        max_iter: int = 500,
     ) -> LinearSolution:
-        """Solve min ‖M α − b‖ under the channels' sign bounds."""
+        """Solve min ‖M α − b‖ under the channels' sign bounds.
+
+        ``tol`` and ``max_iter`` are the BVLS stopping tolerance and
+        iteration cap; they only apply to bounded systems.
+
+        Raises
+        ------
+        CompilationError
+            If the bounded solve hits ``max_iter`` before converging.
+        """
         b = self.target_vector(b_target)
         if self.is_bounded:
             result = lsq_linear(
-                self.matrix,
+                self.matrix.toarray(),
                 b,
                 bounds=(self._lower, self._upper),
+                method=BOUNDED_SOLVER,
                 tol=tol,
-                max_iter=500,
+                max_iter=max_iter,
             )
+            if result.status == 0:
+                raise CompilationError(
+                    f"bounded linear solve did not converge in {max_iter} "
+                    f"iterations ({self!r})"
+                )
             alpha = result.x
         else:
             alpha = self.pseudoinverse() @ b
@@ -201,12 +225,7 @@ class GlobalLinearSystem:
     def achieved_b(self, alphas: Mapping[str, float]) -> Dict[PauliString, float]:
         """The B_sim vector realized by synthesized variables ``alphas``."""
         alpha = np.array([alphas[name] for name in self.channel_names])
-        values = self.matrix.dot(alpha)
-        achieved = {}
-        for term, value in zip(self.terms, values):
-            if abs(value) > 1e-15 or True:
-                achieved[term] = float(value)
-        return achieved
+        return dict(zip(self.terms, self.matrix.dot(alpha).tolist()))
 
     def columns(self, names: Sequence[str]) -> sparse.csr_matrix:
         """Sub-matrix of the named channels (refinement's M_c / M_r split)."""
@@ -242,7 +261,3 @@ def b_difference_l1(
             continue
         total += abs(b_sim.get(term, 0.0) - b_target.get(term, 0.0))
     return total
-
-
-def _finite(value: float) -> bool:
-    return not (math.isinf(value) or math.isnan(value))

@@ -37,6 +37,7 @@ import pickle
 import weakref
 from typing import Dict, List, Sequence
 
+from repro.core.linear_system import BOUNDED_SOLVER
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 
 __all__ = [
@@ -151,8 +152,9 @@ def compiler_fingerprint(compiler) -> str:
     Covers the AAIS (by content, via its pickle form), every
     result-affecting knob (``refine``, ``t_floor``,
     ``feasibility_growth``, ``max_feasibility_iters``,
-    ``use_analytic_solvers``), and the pipeline (pass names in run
-    order plus the normalized passes configuration).
+    ``use_analytic_solvers``), the bounded linear solver, and the
+    pipeline (pass names in run order plus the normalized passes
+    configuration).
     ``system_cache_size`` is deliberately excluded — cache capacity
     never changes what the compiler produces.
 
@@ -177,6 +179,7 @@ def compiler_fingerprint(compiler) -> str:
             f"growth={compiler.feasibility_growth!r}",
             f"max_iters={compiler.max_feasibility_iters}",
             f"analytic={compiler.use_analytic_solvers}",
+            f"linear_solve={BOUNDED_SOLVER}",
             f"passes={','.join(compiler.pass_names)}",
             f"config={config_part}",
         )

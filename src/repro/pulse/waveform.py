@@ -177,8 +177,12 @@ def schedule_to_waveforms(
                     "limit or lengthen the pulse"
                 )
             if rise > 0:
-                times.append(seg_start + rise)
-                values.append(plateau)
+                # A ramp too short to advance the clock (plateaus a few
+                # ulps apart) is a continuous plateau: the hold below
+                # lands on the new value.
+                if seg_start + rise > seg_start:
+                    times.append(seg_start + rise)
+                    values.append(plateau)
             elif values[-1] != plateau or k == 0:
                 # Instantaneous step: duplicate the sample a hair later.
                 times.append(seg_start + min(1e-9, seg_duration / 10))

@@ -54,6 +54,10 @@ class Job:
         How the result was produced: ``executed`` (ran here),
         ``store`` (served from the persistent result store), or
         ``attached`` (deduped onto an in-flight twin).
+    prepared:
+        The executable workload the service built for the request;
+        dropped once the job completes so the recent-jobs table does
+        not keep every request's AAIS and target alive.
     """
 
     def __init__(self, kind: str, digest: str, request: Dict):
@@ -66,6 +70,7 @@ class Job:
         self.error: Optional[str] = None
         self.created = time.time()
         self.finished_at: Optional[float] = None
+        self.prepared: object = None
         self._event = threading.Event()
 
     @classmethod
@@ -83,6 +88,7 @@ class Job:
         self.result = result
         self.status = "done"
         self.finished_at = time.time()
+        self.prepared = None
         self._event.set()
 
     def fail(self, error: str) -> None:
@@ -90,6 +96,7 @@ class Job:
         self.error = error
         self.status = "failed"
         self.finished_at = time.time()
+        self.prepared = None
         self._event.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:

@@ -66,7 +66,8 @@ class TestCompilerEdgeCases:
         target = y(0) + y(1) + y(2)
         result = QTurboCompiler(paper_aais).compile(target, 1.0)
         assert result.success
-        # lsq_linear tolerance leaves ~1e-5; the solve is exact physics.
+        # The linear solve is exact; the ~4e-5 left is the van der Waals
+        # tail between atoms at finite spacing.
         assert result.relative_error < 1e-3
         # sin quadrature: φ = 3π/2 realizes -(Ω/2) sin φ = +Ω/2.
         phi = result.segments[0].values["phi_0"]

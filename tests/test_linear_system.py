@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
-from repro.aais import HeisenbergAAIS
+from repro.aais import HeisenbergAAIS, aais_for_device
+from repro.aais.channels import ScaledVariableChannel
+from repro.aais.variables import Variable, VariableKind
 from repro.core.linear_system import (
     GlobalLinearSystem,
     b_difference_l1,
     l1_norm,
 )
+from repro.errors import CompilationError
 from repro.hamiltonian import PauliString
-from repro.models import ising_chain
+from repro.models import build_model, ising_chain, model_names
 
 
 @pytest.fixture
@@ -137,6 +141,94 @@ class TestSolve:
         solution = system.solve(dict(target.terms))
         vec = solution.alpha_vector(system.channel_names)
         assert len(vec) == len(system.channel_names)
+
+
+def _bounds(system):
+    return np.array([c.alpha_bounds() for c in system.channels]).T
+
+
+def _trf_reference(system, b):
+    """The sparse TRF/LSMR bounded solve, at a tight tolerance."""
+    vector = system.target_vector(b)
+    result = lsq_linear(system.matrix, vector, bounds=_bounds(system), tol=1e-15)
+    return result.x, float(np.abs(system.matrix @ result.x - vector).sum())
+
+
+def _coupled_nonnegative_system():
+    """Six overlapping α ≥ 0 columns over eight rows, with a target that
+    leaves several bounds active after BVLS's initial clipping, so the
+    solve needs more than one active-set iteration."""
+    rng = np.random.default_rng(2)
+    terms = [PauliString.single("Z", q) for q in range(8)]
+    channels = [
+        ScaledVariableChannel(
+            f"c{k}",
+            Variable(f"a{k}", VariableKind.DYNAMIC, 0.0, 10.0),
+            1.0,
+            dict(zip(terms, rng.uniform(-1, 1, size=8))),
+        )
+        for k in range(6)
+    ]
+    system = GlobalLinearSystem(channels)
+    return system, dict(zip(system.terms, rng.uniform(-1, 1, size=8)))
+
+
+def _model_case(model, device):
+    target = build_model(model, 5)
+    system = GlobalLinearSystem(
+        aais_for_device(device, 5).channels, extra_terms=tuple(target.terms)
+    )
+    return system, {t: c for t, c in target.terms.items() if not t.is_identity}
+
+
+class TestBoundedSolve:
+    """The dense BVLS solve against the sparse TRF solve it replaced."""
+
+    @pytest.mark.parametrize("device", ["rydberg", "rydberg-1d", "aquila"])
+    @pytest.mark.parametrize("model", model_names())
+    def test_matches_tight_trf_reference(self, model, device):
+        system, b = _model_case(model, device)
+        self._check_against_reference(system, b)
+
+    def test_coupled_bounds_match_reference(self):
+        system, b = _coupled_nonnegative_system()
+        solution = self._check_against_reference(system, b)
+        assert 0.0 in solution.alphas.values()  # some bound is active
+
+    @staticmethod
+    def _check_against_reference(system, b):
+        assert system.is_bounded
+        solution = system.solve(b)
+        alpha = solution.alpha_vector(system.channel_names)
+        lower, upper = _bounds(system)
+        assert np.all(alpha >= lower) and np.all(alpha <= upper)
+        reference, reference_l1 = _trf_reference(system, b)
+        assert solution.residual_l1 <= reference_l1 + 1e-12
+        np.testing.assert_allclose(alpha, reference, rtol=0, atol=1e-6)
+        return solution
+
+    def test_consistent_square_system_is_exact(self, paper_system):
+        system, target = paper_system
+        assert system.matrix.shape[0] == system.matrix.shape[1]
+        solution = system.solve(dict(target.terms))
+        assert solution.residual_l1 < 1e-12
+
+    def test_unbounded_system_uses_pseudoinverse(self):
+        target = ising_chain(3)
+        system = GlobalLinearSystem(
+            HeisenbergAAIS(3).channels, extra_terms=tuple(target.terms)
+        )
+        b = dict(target.terms)
+        expected = system.pseudoinverse() @ system.target_vector(b)
+        expected = np.where(np.abs(expected) < 1e-12, 0.0, expected)
+        alpha = system.solve(b).alpha_vector(system.channel_names)
+        assert np.array_equal(alpha, expected)
+
+    def test_iteration_cap_raises(self):
+        system, b = _coupled_nonnegative_system()
+        system.solve(b)  # converges under the default cap
+        with pytest.raises(CompilationError, match="did not converge"):
+            system.solve(b, max_iter=1)
 
 
 class TestNormHelpers:

@@ -51,7 +51,8 @@ class TestRefinement:
         refined = refine_dynamic_alphas(
             system, b_target, dict(solution.alphas), dynamic_channels, 0.8
         )
-        # lsq_linear converges to ~1e-7; refinement must not regress it.
+        # The bounded solve is exact (ε₁ ~1e-14); refinement must not
+        # regress it.
         assert refined.residual_l1_after < 1e-5
 
     def test_no_dynamic_channels_is_noop(self, setup):

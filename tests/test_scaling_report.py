@@ -1,5 +1,10 @@
 """Tests for scaling fits, the text formatter round-trip, and reports."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,38 @@ from repro import QTurboCompiler
 from repro.analysis import PowerLawFit, doubling_ratio, fit_power_law
 from repro.hamiltonian import format_hamiltonian, parse_hamiltonian
 from repro.models import ising_chain, kitaev_chain
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+_SCALING_SCRIPT = """
+import json, statistics
+from repro import QTurboCompiler
+from repro.aais import HeisenbergAAIS
+from repro.baseline import SimuQStyleCompiler
+from repro.models import ising_chain
+
+def median_seconds(compile_once, repeats=5):
+    compile_once()
+    return statistics.median(compile_once() for _ in range(repeats))
+
+sizes = [4, 8, 16]
+base_times, qt_times = [], []
+for n in sizes:
+    aais = HeisenbergAAIS(n)
+    base_times.append(median_seconds(
+        lambda: SimuQStyleCompiler(aais, seed=0, max_restarts=2)
+        .compile(ising_chain(n), 1.0).compile_seconds
+    ))
+    qt_times.append(median_seconds(
+        lambda: QTurboCompiler(aais).compile(ising_chain(n), 1.0)
+        .compile_seconds
+    ))
+print(json.dumps([sizes, base_times, qt_times]))
+"""
 
 
 class TestPowerLawFit:
@@ -44,20 +81,21 @@ class TestPowerLawFit:
             fit_power_law([0, 0], [1, 1])
 
     def test_baseline_grows_faster_than_qturbo(self):
-        """Quantified Table-1 shape using recorded sweep data."""
-        from repro.aais import HeisenbergAAIS
-        from repro.baseline import SimuQStyleCompiler
+        """Quantified Table-1 shape using recorded sweep data.
 
-        sizes = [4, 8, 16]
-        base_times, qt_times = [], []
-        for n in sizes:
-            aais = HeisenbergAAIS(n)
-            base = SimuQStyleCompiler(aais, seed=0, max_restarts=2).compile(
-                ising_chain(n), 1.0
-            )
-            qt = QTurboCompiler(aais).compile(ising_chain(n), 1.0)
-            base_times.append(base.compile_seconds)
-            qt_times.append(qt.compile_seconds)
+        Each point is the median of five fresh compiles after one
+        warm-up.  The timing runs in a child interpreter pinned to one
+        BLAS thread: QTurbo's Heisenberg compile is a ~2 ms
+        pseudoinverse, and BLAS thread wake-ups on a small shared host
+        make it bimodal (1 ms or 5 ms), which a median cannot smooth.
+        """
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        child = subprocess.run(
+            [sys.executable, "-c", _SCALING_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        sizes, base_times, qt_times = json.loads(child.stdout)
         assert (
             fit_power_law(sizes, base_times).exponent
             > fit_power_law(sizes, qt_times).exponent

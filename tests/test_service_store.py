@@ -8,8 +8,10 @@ blobs were GC'd or scribbled must report as ``degraded``, never as a
 usable family.
 """
 
+import gc
 import json
 import threading
+import weakref
 
 import pytest
 
@@ -190,6 +192,35 @@ def test_queue_rejects_after_close():
     queue.close()
     with pytest.raises(RuntimeError):
         queue.submit(Job("compile", "late", {}))
+
+
+def test_completed_job_releases_its_workload(tmp_path):
+    """Jobs kept for ``GET /v1/jobs`` must not pin their AAIS/target."""
+    from repro.service.app import ServiceConfig, ServiceState
+
+    state = ServiceState(ServiceConfig(data_dir=tmp_path, executor="serial"))
+    aais_refs = []
+    prepare = state._prepare
+
+    def spy(kind, request, digest):
+        prepared = prepare(kind, request, digest)
+        aais_refs.append(weakref.ref(prepared.aais))
+        return prepared
+
+    state._prepare = spy
+    try:
+        # The first compile seeds the worker-compiler memo, which keeps
+        # its own AAIS; the second request's AAIS has no other owner.
+        for t in (1.0, 1.5):
+            job = state.submit("compile", {"model": "ising_chain", "qubits": 3,
+                                           "time": t})
+            assert job.wait(60.0) and job.status == "done"
+    finally:
+        state.close()  # joins the worker: no frame still holds the batch
+    assert state.queue.get(job.digest) is job  # still addressable
+    assert job.prepared is None
+    gc.collect()
+    assert aais_refs[1]() is None
 
 
 # ----------------------------------------------------------------------

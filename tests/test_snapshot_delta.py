@@ -190,6 +190,34 @@ class TestIncrementalCompiler:
         stats = SnapshotStore(str(tmp_path / "snaps")).disk_stats()
         assert stats["families"] == 2
 
+    def test_linear_solver_change_lands_in_new_family(
+        self, tmp_path, monkeypatch
+    ):
+        """Snapshots written by another bounded solver are not replayed."""
+        from repro.core.pipeline import delta
+
+        payloads = []
+        hex_digest = delta._hex
+        monkeypatch.setattr(
+            delta, "_hex",
+            lambda payload, size=16: payloads.append(payload)
+            or hex_digest(payload, size),
+        )
+        delta.compiler_fingerprint(QTurboCompiler(_aais()))
+        assert "linear_solve=bvls" in payloads[-1].split(";")
+
+        store = str(tmp_path / "snaps")
+        monkeypatch.setattr(delta, "BOUNDED_SOLVER", "trf")
+        QTurboCompiler(_aais(), snapshots=store).compile_piecewise(
+            _piecewise()
+        )
+        monkeypatch.undo()
+        upgraded = QTurboCompiler(_aais(), snapshots=store).compile_piecewise(
+            _piecewise()
+        )
+        assert upgraded.incremental is None
+        assert SnapshotStore(store).disk_stats()["families"] == 2
+
     def test_corrupt_shared_blob_falls_back_cold_and_recommits(
         self, tmp_path
     ):

@@ -1,5 +1,7 @@
 """Unit tests for waveform rendering (ramps + slew limits)."""
 
+import math
+
 import pytest
 
 from repro import QTurboCompiler
@@ -7,6 +9,8 @@ from repro.errors import ScheduleError
 from repro.hamiltonian import PiecewiseHamiltonian
 from repro.models import ising_chain
 from repro.pulse import (
+    PulseSchedule,
+    PulseSegment,
     SlewLimits,
     Waveform,
     ramp_error_bound,
@@ -105,6 +109,25 @@ class TestScheduleToWaveforms:
         assert omega.sample(mid_first) == pytest.approx(
             first_plateau, rel=1e-6
         )
+
+    def test_plateaus_one_ulp_apart_stay_continuous(self, schedule):
+        """A ramp too short to advance the clock must not repeat a time."""
+        first = dict(schedule.segments[0].dynamic_values)
+        second = {
+            name: math.nextafter(value, math.inf)
+            if name.startswith("omega") else value
+            for name, value in first.items()
+        }
+        assert second != first
+        two = PulseSchedule(
+            schedule.aais,
+            schedule.fixed_values,
+            [PulseSegment(0.4, first), PulseSegment(0.6, second)],
+        )
+        waveforms = schedule_to_waveforms(two)
+        omega = waveforms["omega_0"]
+        assert omega.sample(0.7) == pytest.approx(second["omega_0"])
+        assert omega.duration == pytest.approx(1.0)
 
     def test_ramp_error_bound_small_and_nonnegative(self, schedule):
         waveforms = schedule_to_waveforms(schedule)
