@@ -36,6 +36,9 @@ __all__ = ["BOUNDED_SOLVER", "GlobalLinearSystem", "LinearSolution"]
 #: must not be replayed as this one's results.
 BOUNDED_SOLVER = "bvls"
 
+#: Iteration cap of the bounded solve; reaching it is a compile error.
+_MAX_ITER = 500
+
 
 @dataclass
 class LinearSolution:
@@ -160,17 +163,16 @@ class GlobalLinearSystem:
         self,
         b_target: Mapping[PauliString, float],
         tol: float = 1e-12,
-        max_iter: int = 500,
     ) -> LinearSolution:
         """Solve min ‖M α − b‖ under the channels' sign bounds.
 
-        ``tol`` and ``max_iter`` are the BVLS stopping tolerance and
-        iteration cap; they only apply to bounded systems.
+        ``tol`` is the BVLS stopping tolerance; it only applies to
+        bounded systems.
 
         Raises
         ------
         CompilationError
-            If the bounded solve hits ``max_iter`` before converging.
+            If the bounded solve hits its iteration cap before converging.
         """
         b = self.target_vector(b_target)
         if self.is_bounded:
@@ -180,11 +182,11 @@ class GlobalLinearSystem:
                 bounds=(self._lower, self._upper),
                 method=BOUNDED_SOLVER,
                 tol=tol,
-                max_iter=max_iter,
+                max_iter=_MAX_ITER,
             )
             if result.status == 0:
                 raise CompilationError(
-                    f"bounded linear solve did not converge in {max_iter} "
+                    f"bounded linear solve did not converge in {_MAX_ITER} "
                     f"iterations ({self!r})"
                 )
             alpha = result.x

@@ -7,6 +7,7 @@ from scipy.optimize import lsq_linear
 from repro.aais import HeisenbergAAIS, aais_for_device
 from repro.aais.channels import ScaledVariableChannel
 from repro.aais.variables import Variable, VariableKind
+from repro.core import linear_system
 from repro.core.linear_system import (
     GlobalLinearSystem,
     b_difference_l1,
@@ -82,7 +83,9 @@ class TestSolve:
         assert a["detuning_2"] == pytest.approx(1.0, abs=1e-6)
         assert a["rabi_cos_0"] == pytest.approx(1.0, abs=1e-6)
         assert a["rabi_sin_0"] == pytest.approx(0.0, abs=1e-6)
-        assert solution.residual_l1 < 1e-6
+        # A consistent square bounded system is solved to rounding.
+        assert system.matrix.shape[0] == system.matrix.shape[1]
+        assert solution.residual_l1 < 1e-12
 
     def test_scales_with_duration(self, paper_system):
         system, target = paper_system
@@ -207,12 +210,6 @@ class TestBoundedSolve:
         np.testing.assert_allclose(alpha, reference, rtol=0, atol=1e-6)
         return solution
 
-    def test_consistent_square_system_is_exact(self, paper_system):
-        system, target = paper_system
-        assert system.matrix.shape[0] == system.matrix.shape[1]
-        solution = system.solve(dict(target.terms))
-        assert solution.residual_l1 < 1e-12
-
     def test_unbounded_system_uses_pseudoinverse(self):
         target = ising_chain(3)
         system = GlobalLinearSystem(
@@ -224,11 +221,12 @@ class TestBoundedSolve:
         alpha = system.solve(b).alpha_vector(system.channel_names)
         assert np.array_equal(alpha, expected)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         system, b = _coupled_nonnegative_system()
         system.solve(b)  # converges under the default cap
+        monkeypatch.setattr(linear_system, "_MAX_ITER", 1)
         with pytest.raises(CompilationError, match="did not converge"):
-            system.solve(b, max_iter=1)
+            system.solve(b)
 
 
 class TestNormHelpers:
