@@ -22,8 +22,6 @@ Design notes
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -33,7 +31,9 @@ from repro.batch.executors import BatchExecutor, resolve_executor
 from repro.batch.jobs import BatchJob, BatchResult, JobOutcome
 from repro.batch.retry import RetryPolicy, call_with_retry
 from repro.core.compiler import QTurboCompiler
+from repro.core.pipeline.delta import _aais_digest, structure_digest
 from repro.errors import classify_failure
+from repro.store import merge_counters
 from repro.testing.faults import fault_point
 
 __all__ = [
@@ -61,19 +61,6 @@ _WORKER_COMPILER_CAP = 16
 #: memory (no operator matrices), which is what lifts this cap to 20;
 #: beyond that even the state pair stops being cheap.
 HARD_VERIFY_CAP = 20
-
-
-def _aais_digest(aais) -> bytes:
-    """Content digest of an AAIS via its pickle form.
-
-    Equal pickle bytes imply structurally equal instruction sets, so
-    reusing one compiler across them cannot change any result.  Distinct
-    contents may never collide (digest of the full serialized state).
-    """
-    return hashlib.blake2b(
-        pickle.dumps(aais, protocol=pickle.HIGHEST_PROTOCOL),
-        digest_size=16,
-    ).digest()
 
 
 def reset_worker_compilers() -> None:
@@ -126,8 +113,6 @@ def coalesce_jobs(jobs: Sequence[BatchJob]) -> List[BatchJob]:
 
 def _coalesced_order(jobs: Sequence[BatchJob]) -> List[int]:
     """The submission indices of ``jobs`` in coalesced dispatch order."""
-    from repro.core.pipeline.delta import structure_digest
-
     groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for index, job in enumerate(jobs):
         key = (
@@ -137,22 +122,6 @@ def _coalesced_order(jobs: Sequence[BatchJob]) -> List[int]:
         )
         groups.setdefault(key, []).append(index)
     return [index for group in groups.values() for index in group]
-
-
-def _merge_counters(bucket: dict, counters: dict) -> None:
-    """Sum ``counters`` into ``bucket``, recursing into nested dicts.
-
-    Numeric values add; nested mappings (e.g. the snapshot store's
-    re-entry histogram and disk section) merge key by key; anything
-    else (e.g. a store's root path) keeps the first value seen.
-    """
-    for key, value in counters.items():
-        if isinstance(value, dict):
-            _merge_counters(bucket.setdefault(key, {}), value)
-        elif isinstance(value, (int, float)):
-            bucket[key] = bucket.get(key, 0) + value
-        else:
-            bucket.setdefault(key, value)
 
 
 def pass_cache_stats() -> dict:
@@ -182,7 +151,7 @@ def pass_cache_stats() -> dict:
     }
     for compiler in compilers:
         for cache_name, counters in compiler.pass_cache_stats().items():
-            _merge_counters(totals.setdefault(cache_name, {}), counters)
+            merge_counters(totals.setdefault(cache_name, {}), counters)
     return totals
 
 

@@ -22,11 +22,12 @@ compiler's in-memory caches.
 
 Write protocol and concurrency
 ------------------------------
-Every file is written atomically (unique temp name, then ``replace``)
-and ``family.json`` is written last, so a reader either sees a complete
-family or none.  Concurrent writers are safe by *determinism*: every
-process cold-compiling the same family produces bit-identical blobs, so
-interleaved commits converge on the same content.  A corrupt or missing
+Every file is written atomically (:func:`repro.store.atomic_write`:
+pid+tid temp name, then ``replace``) and ``family.json`` is written
+last, so a reader either sees a complete family or none.  Concurrent
+writers are safe by *determinism*: every process cold-compiling the
+same family produces bit-identical blobs, so interleaved commits
+converge on the same content.  A corrupt or missing
 blob is counted in :meth:`SnapshotStore.stats` and makes the caller
 fall back to a cold compile (which re-commits the family).
 
@@ -40,7 +41,7 @@ make that safe beyond the per-run case:
 * ``family.json`` records each blob's byte size and content digest, so
   :meth:`verify_family` can tell a *complete* family from a *degraded*
   one (blobs GC'd or torn by a crashed writer) without unpickling.
-* :meth:`gc` evicts families oldest-first under byte/count/age caps.
+* :meth:`gc` evicts families oldest-first under byte/count caps.
   Eviction deletes ``family.json`` *first* (the reverse of the commit
   order), so a concurrent reader either sees the commit marker gone —
   and compiles cold — or holds blobs that are still intact.
@@ -58,18 +59,23 @@ together with the run's artifacts on ``--force``.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import pickle
 import shutil
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.testing.faults import fault_point
+from repro.store import (
+    Counters,
+    atomic_write,
+    blob_digest,
+    evict_oldest,
+    merge_counters,
+    read_json,
+    scan,
+    write_json,
+)
 
 __all__ = ["SnapshotStore", "snapshot_cache_stats", "reset_snapshot_stores"]
 
@@ -89,12 +95,20 @@ _BLOB_ERRORS = (
     MemoryError,
 )
 
+#: Lookup/commit counters every store reports (see :meth:`SnapshotStore.stats`).
+_COUNTERS = (
+    "misses",
+    "hits_identical",
+    "hits_delta",
+    "invalid",
+    "commits",
+    "gc_families",
+)
+
+
 def _blob_entry(blob: bytes) -> Dict[str, object]:
     """Integrity manifest entry (size + content digest) for one blob."""
-    return {
-        "bytes": len(blob),
-        "digest": hashlib.blake2b(blob, digest_size=16).hexdigest(),
-    }
+    return {"bytes": len(blob), "digest": blob_digest(blob)}
 
 
 #: Live stores created in this process, for aggregate cache statistics
@@ -112,6 +126,15 @@ _SHARED_MEMO: "OrderedDict[tuple, dict]" = OrderedDict()
 _SHARED_MEMO_LOCK = threading.Lock()
 
 
+def _forget_shared(root: str, family: Optional[str] = None) -> None:
+    """Drop memoized ``shared.pkl`` payloads of one root (or one family)."""
+    with _SHARED_MEMO_LOCK:
+        for key in [
+            k for k in _SHARED_MEMO if k[0] == root and family in (None, k[1])
+        ]:
+            del _SHARED_MEMO[key]
+
+
 class SnapshotStore:
     """Read/write access to one snapshot root directory.
 
@@ -127,16 +150,8 @@ class SnapshotStore:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "misses": 0,
-            "hits_identical": 0,
-            "hits_delta": 0,
-            "invalid": 0,
-            "commits": 0,
-            "gc_families": 0,
-        }
-        self._reentry: Dict[str, int] = {}
+        self._counters = Counters(_COUNTERS)
+        self._reentry = Counters()
         with _LIVE_STORES_LOCK:
             _LIVE_STORES.append(self)
 
@@ -158,11 +173,10 @@ class SnapshotStore:
         path = self.family_dir(family) / self.META
         if not path.is_file():
             return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            self._count("invalid")
-            return None
+        meta = read_json(path)
+        if meta is None:
+            self._counters.add("invalid")
+        return meta
 
     def classify(self, family: str, unit: str) -> str:
         """How a compile request relates to the stored donor.
@@ -185,12 +199,12 @@ class SnapshotStore:
         """
         meta = self.read_meta(family)
         if meta is None or "unit" not in meta or "passes" not in meta:
-            self._count("misses")
+            self._counters.add("misses")
             return "cold"
         if meta["unit"] == unit:
-            self._count("hits_identical")
+            self._counters.add("hits_identical")
             return "identical"
-        self._count("hits_delta")
+        self._counters.add("hits_delta")
         return "delta"
 
     def load_unit_state(self, family: str, index: int) -> Optional[object]:
@@ -205,13 +219,13 @@ class SnapshotStore:
             return None
         passes = meta.get("passes", [])
         if not 0 <= index < len(passes):
-            self._count("invalid")
+            self._counters.add("invalid")
             return None
         path = self._unit_path(family, index, passes[index])
         try:
             return pickle.loads(path.read_bytes())
         except _BLOB_ERRORS:
-            self._count("invalid")
+            self._counters.add("invalid")
             return None
 
     def load_final_unit(self, family: str) -> Optional[object]:
@@ -221,7 +235,7 @@ class SnapshotStore:
             return None
         passes = meta.get("passes", [])
         if not passes:
-            self._count("invalid")
+            self._counters.add("invalid")
             return None
         return self.load_unit_state(family, len(passes) - 1)
 
@@ -246,10 +260,10 @@ class SnapshotStore:
         try:
             shared = pickle.loads(path.read_bytes())
         except _BLOB_ERRORS:
-            self._count("invalid")
+            self._counters.add("invalid")
             return None
         if not isinstance(shared, dict) or "system_key" not in shared:
-            self._count("invalid")
+            self._counters.add("invalid")
             return None
         with _SHARED_MEMO_LOCK:
             _SHARED_MEMO[memo_key] = shared
@@ -287,59 +301,25 @@ class SnapshotStore:
         for index, (pass_name, blob) in enumerate(unit_blobs):
             path = self._unit_path(family, index, pass_name)
             manifest[path.name] = _blob_entry(blob)
-            self._atomic_write(path, blob)
+            atomic_write(path, blob, "snapshot.blob")
         manifest[self.SHARED] = _blob_entry(shared_blob)
-        self._atomic_write(directory / self.SHARED, shared_blob)
-        meta = dict(meta)
-        meta["blobs"] = manifest
-        payload = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-        self._atomic_write(
-            directory / self.META, payload.encode("utf-8")
+        atomic_write(directory / self.SHARED, shared_blob, "snapshot.blob")
+        write_json(
+            directory / self.META, {**meta, "blobs": manifest}, "snapshot.blob"
         )
-        root = str(self.root)
-        with _SHARED_MEMO_LOCK:
-            # A fresh donor invalidates any memoized predecessor.
-            for key in [
-                k for k in _SHARED_MEMO if k[0] == root and k[1] == family
-            ]:
-                del _SHARED_MEMO[key]
-        self._count("commits")
-
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        """Write via a per-process temp name so writers never interleave."""
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(path)
-        fault_point("snapshot.blob", path=path)
+        # A fresh donor invalidates any memoized predecessor.
+        _forget_shared(str(self.root), family)
+        self._counters.add("commits")
 
     def clear(self) -> None:
         """Delete every family on disk and drop the in-process memo."""
         if self.root.exists():
             shutil.rmtree(self.root)
-        root = str(self.root)
-        with _SHARED_MEMO_LOCK:
-            for key in [k for k in _SHARED_MEMO if k[0] == root]:
-                del _SHARED_MEMO[key]
+        _forget_shared(str(self.root))
 
     # ------------------------------------------------------------------
     # Shared-store health and eviction
     # ------------------------------------------------------------------
-    def _expected_blobs(self, meta: Dict) -> Dict[str, Optional[Dict]]:
-        """Blob filenames a committed family must hold, with integrity info.
-
-        Families committed since the integrity manifest landed carry a
-        ``blobs`` section (filename → size + digest); older families
-        fall back to the names implied by the ``passes`` list, with no
-        size/digest to check (existence only).
-        """
-        manifest = meta.get("blobs")
-        if isinstance(manifest, dict) and manifest:
-            return dict(manifest)
-        expected: Dict[str, Optional[Dict]] = {self.SHARED: None}
-        for index, pass_name in enumerate(meta.get("passes", [])):
-            expected[f"after-{index:02d}-{pass_name}.pkl"] = None
-        return expected
-
     def verify_family(self, family: str, deep: bool = False) -> str:
         """Health of one family: ``absent`` | ``complete`` | ``degraded``.
 
@@ -354,27 +334,20 @@ class SnapshotStore:
         if not directory.is_dir():
             return "absent"
         meta = self.read_meta(family)
-        if meta is None:
+        manifest = meta.get("blobs") if meta is not None else None
+        if not isinstance(manifest, dict) or not manifest:
             return "degraded"
-        for name, entry in self._expected_blobs(meta).items():
+        for name, entry in manifest.items():
             path = directory / name
             try:
-                size = path.stat().st_size
+                if path.stat().st_size != entry.get("bytes"):
+                    return "degraded"
+                if deep and blob_digest(path.read_bytes()) != entry.get(
+                    "digest"
+                ):
+                    return "degraded"
             except OSError:
                 return "degraded"
-            if entry is None:
-                continue
-            if size != entry.get("bytes"):
-                return "degraded"
-            if deep:
-                try:
-                    digest = hashlib.blake2b(
-                        path.read_bytes(), digest_size=16
-                    ).hexdigest()
-                except OSError:
-                    return "degraded"
-                if digest != entry.get("digest"):
-                    return "degraded"
         return "complete"
 
     def families(self) -> List[str]:
@@ -384,26 +357,6 @@ class SnapshotStore:
         return sorted(
             entry.name for entry in self.root.iterdir() if entry.is_dir()
         )
-
-    def _family_profile(self, family: str) -> Tuple[float, int]:
-        """``(created, bytes)`` of one family for eviction ordering."""
-        directory = self.family_dir(family)
-        meta = self.read_meta(family)
-        created = None
-        if meta is not None and isinstance(meta.get("created"), (int, float)):
-            created = float(meta["created"])
-        size = 0
-        for blob in directory.iterdir():
-            if blob.suffix == ".tmp":
-                continue
-            try:
-                stat = blob.stat()
-            except OSError:
-                continue
-            size += stat.st_size
-            if created is None:
-                created = stat.st_mtime
-        return (created if created is not None else 0.0, size)
 
     def evict_family(self, family: str) -> None:
         """Remove one family, commit-marker first.
@@ -420,82 +373,49 @@ class SnapshotStore:
         except OSError:
             pass
         shutil.rmtree(directory, ignore_errors=True)
-        root = str(self.root)
-        with _SHARED_MEMO_LOCK:
-            for key in [
-                k for k in _SHARED_MEMO if k[0] == root and k[1] == family
-            ]:
-                del _SHARED_MEMO[key]
+        _forget_shared(str(self.root), family)
 
     def gc(
         self,
         max_families: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        max_age_seconds: Optional[float] = None,
-        now: Optional[float] = None,
     ) -> Dict[str, int]:
         """Evict families oldest-first until the store fits its caps.
 
         Degraded families (commit marker without usable blobs) are
         always evicted — they cost disk and serve nothing.  Healthy
         families are then dropped oldest-first (by their ``created``
-        commit stamp) while the store exceeds ``max_families`` /
-        ``max_bytes``, and any family older than ``max_age_seconds``
-        goes regardless.  Returns eviction counts; safe to run while
-        readers and writers are active (see :meth:`evict_family`).
+        commit stamp, else their oldest file) while the store exceeds
+        ``max_families`` / ``max_bytes``.  Returns eviction counts;
+        safe to run while readers and writers are active (see
+        :meth:`evict_family`).
         """
-        if now is None:
-            now = time.time()
-        evicted = degraded = 0
+        degraded = 0
         profiles: List[Tuple[float, int, str]] = []
         for family in self.families():
             if self.verify_family(family) == "degraded":
                 self.evict_family(family)
                 degraded += 1
                 continue
-            created, size = self._family_profile(family)
-            profiles.append((created, size, family))
-        profiles.sort()
-        if max_age_seconds is not None:
-            keep = []
-            for created, size, family in profiles:
-                if now - created > max_age_seconds:
-                    self.evict_family(family)
-                    evicted += 1
-                else:
-                    keep.append((created, size, family))
-            profiles = keep
-        total_bytes = sum(size for _, size, _ in profiles)
-        while profiles and (
-            (max_families is not None and len(profiles) > max_families)
-            or (max_bytes is not None and total_bytes > max_bytes)
-        ):
-            _, size, family = profiles.pop(0)
-            self.evict_family(family)
-            total_bytes -= size
-            evicted += 1
-        with self._lock:
-            self._counters["gc_families"] = (
-                self._counters.get("gc_families", 0) + evicted + degraded
+            files = scan(self.family_dir(family), "*")
+            created = (self.read_meta(family) or {}).get("created")
+            if not isinstance(created, (int, float)):
+                created = min((mtime for mtime, _, _ in files), default=0.0)
+            profiles.append(
+                (float(created), sum(size for _, size, _ in files), family)
             )
-        return {
-            "evicted": evicted,
-            "degraded_removed": degraded,
-            "kept": len(profiles),
-            "bytes_kept": total_bytes,
-        }
+        outcome = evict_oldest(
+            profiles, self.evict_family, max_families, max_bytes
+        )
+        self._counters.add("gc_families", outcome["evicted"] + degraded)
+        return {**outcome, "degraded_removed": degraded}
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + 1
-
     def record_reentry(self, pass_name: str) -> None:
         """Count one delta re-entry at ``pass_name`` (histogram bucket)."""
-        with self._lock:
-            self._reentry[pass_name] = self._reentry.get(pass_name, 0) + 1
+        self._reentry.add(pass_name)
 
     def disk_stats(self, deep: bool = False) -> Dict[str, int]:
         """What the store currently holds on disk.
@@ -508,28 +428,17 @@ class SnapshotStore:
         each blob's recorded content digest (reads every byte; the
         ``repro cache-stats --snapshot-dir`` disk scan uses this).
         """
-        families = degraded = blobs = size = 0
-        if self.root.is_dir():
-            for entry in self.root.iterdir():
-                if not entry.is_dir():
-                    continue
-                if self.verify_family(entry.name, deep=deep) == "complete":
-                    families += 1
-                else:
-                    degraded += 1
-                for blob in entry.iterdir():
-                    if blob.suffix == ".tmp":
-                        continue
-                    blobs += 1
-                    try:
-                        size += blob.stat().st_size
-                    except OSError:
-                        continue
+        names = self.families()
+        families = sum(
+            self.verify_family(family, deep=deep) == "complete"
+            for family in names
+        )
+        blobs = scan(self.root, "*/*")
         return {
             "families": families,
-            "degraded": degraded,
-            "blobs": blobs,
-            "bytes": size,
+            "degraded": len(names) - families,
+            "blobs": len(blobs),
+            "bytes": sum(size for _, size, _ in blobs),
         }
 
     def stats(self) -> Dict[str, object]:
@@ -541,11 +450,8 @@ class SnapshotStore:
         per-pass histogram of where delta compiles re-entered the
         pipeline, and ``disk`` reports families/blobs/bytes on disk.
         """
-        with self._lock:
-            counters = dict(self._counters)
-            reentry = dict(self._reentry)
-        stats: Dict[str, object] = dict(counters)
-        stats["reentry"] = reentry
+        stats: Dict[str, object] = self._counters.snapshot()
+        stats["reentry"] = self._reentry.snapshot()
         stats["disk"] = self.disk_stats()
         stats["root"] = str(self.root)
         return stats
@@ -567,34 +473,18 @@ def snapshot_cache_stats() -> Dict[str, object]:
         stores = list(_LIVE_STORES)
     totals: Dict[str, object] = {
         "stores": len(stores),
-        "misses": 0,
-        "hits_identical": 0,
-        "hits_delta": 0,
-        "invalid": 0,
-        "commits": 0,
-        "gc_families": 0,
+        **dict.fromkeys(_COUNTERS, 0),
         "reentry": {},
         "disk": {"families": 0, "degraded": 0, "blobs": 0, "bytes": 0},
     }
     seen_roots = set()
     for store in stores:
         stats = store.stats()
-        for key in (
-            "misses",
-            "hits_identical",
-            "hits_delta",
-            "invalid",
-            "commits",
-            "gc_families",
-        ):
-            totals[key] += stats.get(key, 0)
-        for name, count in stats["reentry"].items():
-            totals["reentry"][name] = totals["reentry"].get(name, 0) + count
-        root = stats["root"]
-        if root not in seen_roots:
-            seen_roots.add(root)
-            for key, value in stats["disk"].items():
-                totals["disk"][key] = totals["disk"].get(key, 0) + value
+        root = stats.pop("root")
+        if root in seen_roots:
+            del stats["disk"]
+        seen_roots.add(root)
+        merge_counters(totals, stats)
     return totals
 
 

@@ -15,40 +15,16 @@ stale artifacts can never leak into a new experiment.
 
 from __future__ import annotations
 
-import json
-import os
 import shutil
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentJob, ExperimentSpec
-from repro.testing.faults import fault_point
+from repro.store import read_json, write_json
 
-__all__ = ["ArtifactStore", "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["ArtifactStore"]
 
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (unique temp + rename).
-
-    The temp name is pid- *and* thread-unique so concurrent writers of
-    one path can never interleave partial content or steal each
-    other's temp file; readers see either the old file or the new one,
-    never a torn write.  This is the one write discipline every
-    on-disk store in the repo follows — the snapshot store, the
-    artifact store, and the service result store.
-    """
-    tmp = path.with_name(
-        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
-    )
-    tmp.write_bytes(payload)
-    tmp.replace(path)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` (UTF-8) to ``path`` atomically."""
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 #: Job statuses that count as "done" for resume purposes.  ``error``
 #: records are retried on the next run *unless* their recorded
@@ -119,10 +95,7 @@ class ArtifactStore:
                 for job in jobs
             ],
         }
-        atomic_write_text(
-            manifest_path,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(manifest_path, manifest)
 
     # ------------------------------------------------------------------
     def job_path(self, job_id: str) -> Path:
@@ -151,42 +124,31 @@ class ArtifactStore:
 
     def read_job(self, job_id: str) -> Optional[Dict]:
         """The stored record for ``job_id``, or None when absent/corrupt."""
-        path = self.job_path(job_id)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            return None
+        return read_json(self.job_path(job_id))
 
     def write_job(self, record: Dict) -> None:
-        """Persist one job record atomically (temp file + rename).
+        """Persist one job record atomically (:func:`repro.store.atomic_write`).
 
-        The temp name is pid-unique so concurrent writers of the same
-        run directory can never interleave partial content; readers see
-        either the old record or the new one, never a torn file.
+        The pid+tid temp name means concurrent writers of the same run
+        directory never interleave partial content; readers see either
+        the old record or the new one, never a torn file.
         """
-        path = self.job_path(record["job_id"])
-        atomic_write_text(
-            path, json.dumps(record, indent=2, sort_keys=True) + "\n"
+        write_json(
+            self.job_path(record["job_id"]), record, "store.write_job"
         )
-        fault_point("store.write_job", path=path)
 
     # ------------------------------------------------------------------
     def read_manifest(self) -> Dict:
         """The run manifest; raises when the directory was never run."""
         path = self.run_dir / self.MANIFEST
-        if not path.is_file():
+        manifest = read_json(path)
+        if manifest is None:
+            state = "a corrupt" if path.is_file() else "no"
             raise ExperimentError(
-                f"{self.run_dir} has no {self.MANIFEST}; not an "
+                f"{self.run_dir} has {state} {self.MANIFEST}; not an "
                 "experiment run directory"
             )
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise ExperimentError(
-                f"corrupt manifest in {self.run_dir}: {error}"
-            ) from None
+        return manifest
 
     def read_all_jobs(self) -> List[Dict]:
         """Every stored job record, in manifest (submission) order."""
@@ -201,8 +163,5 @@ class ArtifactStore:
     def write_report(self, payload: Dict) -> Path:
         """Persist the aggregated report atomically next to the manifest."""
         path = self.run_dir / self.REPORT
-        atomic_write_text(
-            path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        fault_point("store.write_report", path=path)
+        write_json(path, payload, "store.write_report")
         return path

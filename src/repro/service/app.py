@@ -40,6 +40,7 @@ from repro.errors import ReproError
 from repro.service.queue import Job, JobQueue
 from repro.service.routes import ServiceError, dispatch
 from repro.service.store import ResultStore, job_digest
+from repro.store import Counters
 
 __all__ = ["ReproService", "ServiceConfig", "ServiceState"]
 
@@ -135,12 +136,7 @@ class ServiceState:
             batch_max=config.batch_max,
         )
         self.started = time.time()
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "requests": 0,
-            "store_hits": 0,
-            "bad_requests": 0,
-        }
+        self._counters = Counters(("requests", "store_hits", "bad_requests"))
 
     # ------------------------------------------------------------------
     # Request intake (handler threads)
@@ -163,24 +159,24 @@ class ServiceState:
         :class:`~repro.service.routes.ServiceError` (HTTP 400) before
         anything is enqueued.
         """
-        self._count("requests")
+        self._counters.add("requests")
         if kind not in JOB_KINDS:
-            self._count("bad_requests")
+            self._counters.add("bad_requests")
             raise ServiceError(400, f"unknown job kind {kind!r}")
         if not isinstance(request, dict):
-            self._count("bad_requests")
+            self._counters.add("bad_requests")
             raise ServiceError(400, "request body must be a JSON object")
         request = _canonical_request(kind, request)
         digest = job_digest(kind, request)
         stored = self.results.load(digest)
         if stored is not None:
-            self._count("store_hits")
+            self._counters.add("store_hits")
             return Job.completed(kind, digest, request, stored)
         job = Job(kind, digest, request)
         try:
             job.prepared = self._prepare(kind, request, digest)
         except ServiceError:
-            self._count("bad_requests")
+            self._counters.add("bad_requests")
             raise
         return self.queue.submit(job)
 
@@ -205,11 +201,9 @@ class ServiceState:
 
     def stats(self) -> Dict[str, object]:
         """The ``GET /v1/stats`` payload: service, queue, store layers."""
-        with self._lock:
-            counters = dict(self._counters)
         return {
             "service": {
-                **counters,
+                **self._counters.snapshot(),
                 "uptime_seconds": time.time() - self.started,
             },
             "queue": self.queue.stats(),
@@ -394,10 +388,6 @@ class ServiceState:
             )
 
     # ------------------------------------------------------------------
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + 1
-
     def close(self) -> None:
         """Drain and stop the queue worker."""
         self.queue.close()

@@ -14,7 +14,7 @@ The digest is both the key and the integrity check: a record is only
 served when the digest stored *inside* the payload matches the digest
 it was looked up under, so a torn or scribbled file degrades to a miss
 (and a recompute) instead of serving a wrong result.  All writes are
-atomic (:func:`repro.experiments.store.atomic_write_bytes`), and
+atomic (:func:`repro.store.atomic_write`, pid+tid temp names), and
 concurrent writers of the same digest are safe by determinism — equal
 requests produce equal records, so interleaved commits converge.
 
@@ -27,15 +27,20 @@ cache instead of a cold one.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-from repro.experiments.store import atomic_write_text
-from repro.testing.faults import fault_point
+from repro.core import linear_system
+from repro.store import (
+    Counters,
+    blob_digest,
+    evict_oldest,
+    read_json,
+    scan,
+    write_json,
+)
 
 __all__ = ["ResultStore", "job_digest"]
 
@@ -43,20 +48,25 @@ __all__ = ["ResultStore", "job_digest"]
 def job_digest(kind: str, request: Dict) -> str:
     """The content-addressed job id of one service request.
 
-    Canonical JSON (sorted keys, no whitespace variance) of the request
-    plus its kind, hashed with blake2b.  Two requests share a digest iff
-    they are semantically identical, which is what makes digest-keyed
-    dedup ("never compile the same thing twice") and cross-restart warm
-    hits sound.
+    Canonical JSON (sorted keys, no whitespace variance) of the request,
+    its kind and the bounded linear solver, hashed with blake2b.  Two
+    requests share a digest iff they are semantically identical, which
+    is what makes digest-keyed dedup ("never compile the same thing
+    twice") and cross-restart warm hits sound.  The solver name is the
+    part of the compiler's identity a request does not determine; it is
+    read at call time, so after a solver change a restarted service
+    misses instead of replaying results the old solver wrote.
     """
     payload = json.dumps(
-        {"kind": kind, "request": request},
+        {
+            "kind": kind,
+            "request": request,
+            "solver": linear_system.BOUNDED_SOLVER,
+        },
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.blake2b(
-        payload.encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return blob_digest(payload.encode("utf-8"))
 
 
 class ResultStore:
@@ -71,14 +81,9 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "corrupt": 0,
-            "writes": 0,
-            "gc_evicted": 0,
-        }
+        self._counters = Counters(
+            ("hits", "misses", "corrupt", "writes", "gc_evicted")
+        )
 
     def path_for(self, digest: str) -> Path:
         """Where the record for ``digest`` lives."""
@@ -94,18 +99,14 @@ class ResultStore:
         re-commits, healing the store.
         """
         path = self.path_for(digest)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self._count("misses")
+        if not path.is_file():
+            self._counters.add("misses")
             return None
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            self._count("corrupt")
+        record = read_json(path)
+        if record is None or record.get("digest") != digest:
+            self._counters.add("corrupt")
             return None
-        if not isinstance(record, dict) or record.get("digest") != digest:
-            self._count("corrupt")
-            return None
-        self._count("hits")
+        self._counters.add("hits")
         return record
 
     def store(self, digest: str, record: Dict) -> Path:
@@ -115,62 +116,26 @@ class ResultStore:
         record.setdefault("stored_at", time.time())
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
-        fault_point("service.result", path=path)
-        self._count("writes")
+        write_json(path, record, "service.result")
+        self._counters.add("writes")
         return path
 
     # ------------------------------------------------------------------
-    def _records(self) -> List[Tuple[float, int, Path]]:
-        """``(mtime, bytes, path)`` of every record on disk."""
-        records = []
-        if not self.root.is_dir():
-            return records
-        for shard in self.root.iterdir():
-            if not shard.is_dir():
-                continue
-            for path in shard.glob("*.json"):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                records.append((stat.st_mtime, stat.st_size, path))
-        return records
-
     def gc(
         self,
         max_results: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> Dict[str, int]:
         """Evict records oldest-first until the store fits its caps."""
-        records = sorted(self._records())
-        total = sum(size for _, size, _ in records)
-        evicted = 0
-        while records and (
-            (max_results is not None and len(records) > max_results)
-            or (max_bytes is not None and total > max_bytes)
-        ):
-            _, size, path = records.pop(0)
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        with self._lock:
-            self._counters["gc_evicted"] += evicted
-        return {"evicted": evicted, "kept": len(records), "bytes_kept": total}
-
-    # ------------------------------------------------------------------
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + 1
+        outcome = evict_oldest(
+            scan(self.root, "*/*.json"), Path.unlink, max_results, max_bytes
+        )
+        self._counters.add("gc_evicted", outcome["evicted"])
+        return outcome
 
     def disk_stats(self) -> Dict[str, int]:
         """What the store currently holds on disk (records, bytes)."""
-        records = self._records()
+        records = scan(self.root, "*/*.json")
         return {
             "records": len(records),
             "bytes": sum(size for _, size, _ in records),
@@ -178,9 +143,7 @@ class ResultStore:
 
     def stats(self) -> Dict[str, object]:
         """Lookup/write counters plus disk usage."""
-        with self._lock:
-            counters = dict(self._counters)
-        stats: Dict[str, object] = dict(counters)
+        stats: Dict[str, object] = self._counters.snapshot()
         stats["disk"] = self.disk_stats()
         stats["root"] = str(self.root)
         return stats

@@ -44,6 +44,7 @@ DOCSTRING_SURFACE = [
     REPO / "src/repro/__init__.py",
     REPO / "src/repro/sim/__init__.py",
     REPO / "src/repro/batch/compiler.py",
+    REPO / "src/repro/store.py",
     *sorted((REPO / "src/repro/experiments").glob("*.py")),
     *sorted((REPO / "src/repro/core/pipeline").glob("*.py")),
     *sorted((REPO / "src/repro/service").glob("*.py")),
