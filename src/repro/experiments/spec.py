@@ -238,7 +238,6 @@ class SimulationSpec:
     shots: int = 1000
     noise_samples: int = 20
     seed: int = 0
-    vectorized: bool = True
     periodic: bool = True
     backend: str = "auto"
     noise: Tuple[Tuple[str, object], ...] = ()
@@ -265,6 +264,19 @@ class SimulationSpec:
             f"simulation.backend must be one of {BACKEND_NAMES}, "
             f"got {backend!r}",
         )
+        # Spec files and run manifests written before the per-realization
+        # loop left the simulator carry ``vectorized: true``.
+        _require(
+            section.get("vectorized", True) is True,
+            "simulation.vectorized is no longer a setting (only `true` "
+            "is accepted); for the sparse reference path set "
+            "`simulation.backend: sparse`",
+        )
+        periodic = section.get("periodic", True)
+        _require(
+            isinstance(periodic, bool),
+            f"simulation.periodic must be true or false, got {periodic!r}",
+        )
         shots = section.get("shots", 1000)
         noise_samples = section.get("noise_samples", 20)
         _require(
@@ -285,8 +297,7 @@ class SimulationSpec:
             shots=shots,
             noise_samples=noise_samples,
             seed=_as_int(section.get("seed", 0), "simulation.seed"),
-            vectorized=bool(section.get("vectorized", True)),
-            periodic=bool(section.get("periodic", True)),
+            periodic=periodic,
             backend=backend,
             noise=_pairs(noise),
         )
@@ -297,7 +308,8 @@ class SimulationSpec:
             "shots": self.shots,
             "noise_samples": self.noise_samples,
             "seed": self.seed,
-            "vectorized": self.vectorized,
+            # Constant, kept so existing spec hashes (run dirs) still match.
+            "vectorized": True,
             "periodic": self.periodic,
         }
         # The default backend is omitted so pre-existing specs keep
@@ -624,6 +636,11 @@ class ExperimentSpec:
             "model",
         )
 
+        verify = data.get("verify", False)
+        _require(
+            isinstance(verify, bool),
+            f"verify must be true or false, got {verify!r}",
+        )
         verify_max_qubits = data.get("verify_max_qubits", 12)
         _require(
             isinstance(verify_max_qubits, int) and verify_max_qubits >= 1,
@@ -645,7 +662,7 @@ class ExperimentSpec:
             compiler=_pairs(compiler),
             simulation=simulation,
             zne=zne,
-            verify=bool(data.get("verify", False)),
+            verify=verify,
             verify_max_qubits=verify_max_qubits,
             baseline=baseline,
             digital=digital,
@@ -770,7 +787,6 @@ _SWEEPABLE_EXACT = frozenset(
         "simulation.shots",
         "simulation.noise_samples",
         "simulation.seed",
-        "simulation.vectorized",
         "simulation.periodic",
         "simulation.backend",
         "zne.factors",

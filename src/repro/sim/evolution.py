@@ -7,15 +7,17 @@ state under ``exp(−i H t)`` segment by segment.
 Every ``evolve*`` entry point accepts either a single state vector of
 shape ``(2^N,)`` or a **block** of ``k`` states as a ``(2^N, k)`` matrix
 whose columns evolve independently — one solver call pushes all columns
-at once.  Each segment dispatches to one of four **backends**
-(``backend: auto|dense|sparse|matrix_free``):
+at once.  Each segment dispatches to one of four **backends**, named by
+the one selector every entry point takes, ``backend=`` (default
+``"auto"``; :func:`evolve_block` checks it against
+:data:`~repro.sim.propagators.BACKEND_NAMES`, the others forward it):
 
 * ``dense`` — the 2^N×2^N unitary is built (batched across noise
   realizations) and memoized in the propagator cache; small registers.
 * ``sparse`` — the kron-product CSC matrix plus
   :func:`scipy.sparse.linalg.expm_multiply`; mid-size registers whose
-  matrix fits the memory budget.  ``method="krylov"`` is the historical
-  alias — the benchmark baseline the fast paths are tested against.
+  matrix fits the memory budget; the reference the fast paths are
+  tested against.
 * ``matrix_free`` — bit-mask Pauli kernels plus a Hermitian Lanczos
   propagator (:mod:`repro.sim.kernels`); no operator is ever
   materialized, opening registers past the sparse cap.
@@ -61,13 +63,6 @@ __all__ = [
     "evolve_schedule_block",
 ]
 
-#: Recognized values of the ``method`` argument (``krylov`` is the
-#: historical alias of the ``sparse`` backend).
-EVOLVE_METHODS = ("auto", "krylov", "dense", "sparse", "matrix_free")
-
-_METHOD_ALIASES = {"krylov": "sparse"}
-
-
 def ground_state(num_qubits: int) -> np.ndarray:
     """``|0…0⟩`` — all atoms in the ground state."""
     if num_qubits < 1:
@@ -98,34 +93,6 @@ def _check_state(state: np.ndarray, num_qubits: int) -> np.ndarray:
             f"or (2^{num_qubits}, k)"
         )
     return state
-
-
-def _resolve_method(method: str, backend: Optional[str]) -> str:
-    """Merge the legacy ``method`` and the ``backend`` selectors.
-
-    ``backend`` (auto/dense/sparse/matrix_free) wins when given; passing
-    a conflicting non-default ``method`` at the same time is an error so
-    the two spellings can never silently disagree.
-    """
-    if method not in EVOLVE_METHODS:
-        raise SimulationError(
-            f"unknown evolve method {method!r}; expected one of "
-            f"{EVOLVE_METHODS}"
-        )
-    resolved = _METHOD_ALIASES.get(method, method)
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise SimulationError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{BACKEND_NAMES}"
-            )
-        if resolved not in ("auto", backend):
-            raise SimulationError(
-                f"conflicting selectors: method={method!r} vs "
-                f"backend={backend!r}"
-            )
-        resolved = backend
-    return resolved
 
 
 def _columns(state: np.ndarray) -> int:
@@ -159,8 +126,7 @@ def evolve(
     duration: float,
     num_qubits: int,
     cache: bool = True,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """``exp(−i H t) |ψ⟩`` for a constant Hamiltonian.
 
@@ -180,40 +146,26 @@ def evolve(
         ever being hit.  Fast paths still apply, shared per-string
         basis/sign caches still fill, and an already-cached propagator
         is still used.
-    method:
-        ``"auto"`` picks the cheapest path; ``"krylov"`` (alias
-        ``"sparse"``) forces plain ``expm_multiply``; ``"dense"``
-        forces the dense-propagator path regardless of the size
-        thresholds (above ``propagator_max_qubits`` the unitary is
-        built but not cached; the configurable operator cap still
-        refuses absurd dense builds); ``"matrix_free"`` forces the
-        Pauli-kernel Lanczos path at any size.
     backend:
-        The preferred spelling of the selector
-        (``auto|dense|sparse|matrix_free``); overrides a default
-        ``method`` and conflicts loudly with a non-default one.
+        ``"auto"`` picks the cheapest path; ``"sparse"`` forces plain
+        ``expm_multiply``; ``"dense"`` forces the dense-propagator path
+        regardless of the size thresholds (above the propagator-cache
+        threshold the unitary is built but not cached; the
+        configurable operator cap still refuses absurd dense builds);
+        ``"matrix_free"`` forces the Pauli-kernel Lanczos path at any
+        size.
     """
     state = _check_state(state, num_qubits)
-    if state.ndim == 1:
-        out = evolve_block(
-            state[:, None],
-            [hamiltonian],
-            duration,
-            num_qubits,
-            cache=cache,
-            method=method,
-            backend=backend,
-        )
-        return out[:, 0]
-    return evolve_block(
-        state,
-        [hamiltonian] * state.shape[1],
+    block = state[:, None] if state.ndim == 1 else state
+    out = evolve_block(
+        block,
+        [hamiltonian] * block.shape[1],
         duration,
         num_qubits,
         cache=cache,
-        method=method,
         backend=backend,
     )
+    return out[:, 0] if state.ndim == 1 else out
 
 
 def evolve_block(
@@ -222,8 +174,7 @@ def evolve_block(
     durations: Union[float, Sequence[float]],
     num_qubits: int,
     cache: bool = False,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve column ``i`` of ``states`` under ``hamiltonians[i]``.
 
@@ -253,7 +204,10 @@ def evolve_block(
     backend:
         ``auto|dense|sparse|matrix_free`` — see :func:`evolve`.
     """
-    resolved = _resolve_method(method, backend)
+    if backend not in BACKEND_NAMES:
+        raise SimulationError(
+            f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
+        )
     states = _check_state(states, num_qubits)
     if states.ndim != 2:
         raise SimulationError(
@@ -307,8 +261,8 @@ def evolve_block(
             continue
         choice = (
             select_backend(hamiltonian, num_qubits, len(cols), cache)
-            if resolved == "auto"
-            else resolved
+            if backend == "auto"
+            else backend
         )
         if choice == "diagonal":
             record_fast_path("diagonal", len(cols))
@@ -321,7 +275,7 @@ def evolve_block(
             # realizations, oversized registers) don't dilute the
             # cache's hit rate.
             buildable = (
-                resolved == "dense"
+                backend == "dense"
                 or num_qubits <= propagator_build_max_qubits()
             )
             unitary = cached_propagator(
@@ -382,8 +336,7 @@ def evolve_piecewise(
     state: np.ndarray,
     target: PiecewiseHamiltonian,
     num_qubits: int,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Chain :func:`evolve` across all segments of a piecewise target.
 
@@ -395,7 +348,6 @@ def evolve_piecewise(
             segment.hamiltonian,
             segment.duration,
             num_qubits,
-            method=method,
             backend=backend,
         )
     return state
@@ -405,8 +357,7 @@ def evolve_schedule(
     state: np.ndarray,
     schedule: PulseSchedule,
     value_overrides: Optional[Sequence[dict]] = None,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve under the simulator Hamiltonian of a compiled schedule.
 
@@ -422,8 +373,6 @@ def evolve_schedule(
         Optional per-segment variable overrides (used by the noise model
         to inject control errors); each entry updates that segment's
         variable assignment before the Hamiltonian is built.
-    method:
-        Evolution method forwarded to :func:`evolve`.
     backend:
         Backend selector forwarded to :func:`evolve`.
     """
@@ -444,7 +393,6 @@ def evolve_schedule(
             segment.duration,
             num_qubits,
             cache=cache,
-            method=method,
             backend=backend,
         )
     return state
@@ -454,8 +402,7 @@ def evolve_schedule_block(
     states: np.ndarray,
     schedule: PulseSchedule,
     value_overrides: Optional[Sequence[Sequence[dict]]] = None,
-    method: str = "auto",
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> np.ndarray:
     """Evolve ``k`` noise realizations of one schedule as a column block.
 
@@ -482,9 +429,7 @@ def evolve_schedule_block(
             f"block, got shape {states.shape}"
         )
     if value_overrides is None:
-        return evolve_schedule(
-            states, schedule, method=method, backend=backend
-        )
+        return evolve_schedule(states, schedule, backend=backend)
     k = states.shape[1]
     if len(value_overrides) != k:
         raise SimulationError(
@@ -513,7 +458,6 @@ def evolve_schedule_block(
             segment.duration,
             num_qubits,
             cache=False,
-            method=method,
             backend=backend,
         )
     return states

@@ -41,7 +41,6 @@ On top of the kernels, two Hermitian propagators replace
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -62,17 +61,15 @@ __all__ = [
     "chebyshev_expm_multiply",
     "expm_multiply_matrix_free",
     "kernel_cache_stats",
-    "clear_kernel_caches",
-    "configure_kernel_caches",
     "DEFAULT_MAX_KRYLOV_DIM",
 ]
 
-#: Default cache capacities (entries, not bytes).  A sign vector costs
-#: ``2^N`` bytes (int8) and a structure holds one per term, so these are
+#: Cache capacities (entries, not bytes).  A sign vector costs ``2^N``
+#: bytes (int8) and a structure holds one per term, so these are
 #: deliberately small next to the matrix caches.
-DEFAULT_SIGN_CACHE_SIZE = 128
-DEFAULT_STRUCTURE_CACHE_SIZE = 16
-DEFAULT_KERNEL_CACHE_SIZE = 16
+SIGN_CACHE_SIZE = 128
+STRUCTURE_CACHE_SIZE = 16
+KERNEL_CACHE_SIZE = 16
 
 #: Largest Krylov basis :func:`lanczos_expm_multiply` builds per step.
 DEFAULT_MAX_KRYLOV_DIM = 30
@@ -89,17 +86,13 @@ CHEBYSHEV_MIN_PHASE_SPAN = 12.0
 #: Bit-mask index arithmetic uses uint32 basis indices.
 _MAX_KERNEL_QUBITS = 31
 
-_sign_cache = MatrixCache(DEFAULT_SIGN_CACHE_SIZE)
-_structure_cache = MatrixCache(DEFAULT_STRUCTURE_CACHE_SIZE)
-_kernel_cache = MatrixCache(DEFAULT_KERNEL_CACHE_SIZE)
+_sign_cache = MatrixCache(SIGN_CACHE_SIZE)
+_structure_cache = MatrixCache(STRUCTURE_CACHE_SIZE)
+_kernel_cache = MatrixCache(KERNEL_CACHE_SIZE)
 
 #: Shared basis-index arrays (``np.arange(2^N)``), keyed on N.  Tiny
 #: entry count — each array is 4·2^N bytes and every term reuses it.
-#: Guarded by a lock: the thread batch executor shares this module, and
-#: an unguarded evict can race a concurrent pop (see MatrixCache).
-_index_cache: Dict[int, np.ndarray] = {}
-_INDEX_CACHE_CAP = 4
-_index_lock = threading.Lock()
+_index_cache = MatrixCache(4)
 
 
 def _check_num_qubits(num_qubits: int) -> None:
@@ -114,13 +107,10 @@ def _check_num_qubits(num_qubits: int) -> None:
 
 def _index(num_qubits: int) -> np.ndarray:
     """The shared ``arange(2^N)`` basis-index array (uint32)."""
-    with _index_lock:
-        cached = _index_cache.get(num_qubits)
-        if cached is None:
-            cached = np.arange(1 << num_qubits, dtype=np.uint32)
-            while len(_index_cache) >= _INDEX_CACHE_CAP:
-                _index_cache.pop(next(iter(_index_cache)))
-            _index_cache[num_qubits] = cached
+    cached = _index_cache.get(num_qubits)
+    if cached is None:
+        cached = np.arange(1 << num_qubits, dtype=np.uint32)
+        _index_cache.put(num_qubits, cached)
     return cached
 
 
@@ -749,7 +739,7 @@ def expm_multiply_matrix_free(
 
 
 # ----------------------------------------------------------------------
-# Cache statistics / configuration
+# Cache statistics
 # ----------------------------------------------------------------------
 def kernel_cache_stats() -> Dict[str, Dict[str, float]]:
     """Statistics of the matrix-free kernel caches."""
@@ -759,26 +749,3 @@ def kernel_cache_stats() -> Dict[str, Dict[str, float]]:
         "kernel": _kernel_cache.stats(),
     }
 
-
-def clear_kernel_caches() -> None:
-    """Empty the sign/structure/kernel caches and the index memo."""
-    _sign_cache.clear()
-    _structure_cache.clear()
-    _kernel_cache.clear()
-    with _index_lock:
-        _index_cache.clear()
-
-
-def configure_kernel_caches(
-    sign_maxsize: Optional[int] = None,
-    structure_maxsize: Optional[int] = None,
-    kernel_maxsize: Optional[int] = None,
-) -> None:
-    """Resize the kernel caches (resized caches start empty)."""
-    global _sign_cache, _structure_cache, _kernel_cache
-    if sign_maxsize is not None:
-        _sign_cache = MatrixCache(sign_maxsize)
-    if structure_maxsize is not None:
-        _structure_cache = MatrixCache(structure_maxsize)
-    if kernel_maxsize is not None:
-        _kernel_cache = MatrixCache(kernel_maxsize)

@@ -8,6 +8,10 @@ Figure 6 reports two observables on Ising-type systems:
     ZZ_{avg} = \\frac{1}{N} \\sum_i \\langle Z_i Z_{i+1} \\rangle
 
 (the ZZ average runs over adjacent pairs; on a cycle it wraps around).
+
+Expectations apply the operator through the matrix-free kernels of
+:mod:`repro.sim.kernels`, so no ``2^N × 2^N`` matrix is built and they
+work on any register the state vector itself fits.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.pauli import PauliString
-from repro.sim.operators import hamiltonian_matrix, pauli_string_matrix
+from repro.sim.kernels import apply_hamiltonian, apply_pauli_string
 
 __all__ = [
     "expectation",
@@ -42,15 +46,15 @@ def _num_qubits_of(state: np.ndarray) -> int:
 def expectation(state: np.ndarray, hamiltonian: Hamiltonian) -> float:
     """``⟨ψ| H |ψ⟩`` (real by Hermiticity)."""
     num_qubits = _num_qubits_of(state)
-    matrix = hamiltonian_matrix(hamiltonian, num_qubits)
-    return float(np.real(np.vdot(state, matrix.dot(state))))
+    applied = apply_hamiltonian(hamiltonian, state, num_qubits)
+    return float(np.real(np.vdot(state, applied)))
 
 
 def pauli_expectation(state: np.ndarray, string: PauliString) -> float:
     """``⟨ψ| P |ψ⟩`` for a single Pauli string."""
     num_qubits = _num_qubits_of(state)
-    matrix = pauli_string_matrix(string, num_qubits)
-    return float(np.real(np.vdot(state, matrix.dot(state))))
+    applied = apply_pauli_string(string, state, num_qubits)
+    return float(np.real(np.vdot(state, applied)))
 
 
 def z_average(state: np.ndarray, num_qubits: int = None) -> float:

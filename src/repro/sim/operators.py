@@ -5,15 +5,16 @@ Qubit 0 is the most significant bit of the computational-basis index
 :mod:`repro.sim.sampling`.  Operators are built as CSR matrices via
 Kronecker products of 2×2 factors.
 
-Matrix construction is a hot path: every ``evolve*`` call realizes its
-Hamiltonian, and batch workloads (:mod:`repro.batch`) compile and verify
-many structurally identical targets.  Both Pauli-string and full
-Hamiltonian matrices are therefore memoized in process-wide LRU caches
-keyed on the stable canonical keys of
-:meth:`repro.hamiltonian.pauli.PauliString.canonical_key` and
+Matrix construction is a hot path: every sparse-backend ``evolve*``
+call realizes its Hamiltonian, and batch workloads (:mod:`repro.batch`)
+compile and verify many structurally identical targets.  Pauli-string
+matrices and the CSC form of full Hamiltonians are therefore memoized
+in fixed-size, process-wide LRU caches keyed on the stable canonical
+keys of :meth:`repro.hamiltonian.pauli.PauliString.canonical_key` and
 :meth:`repro.hamiltonian.expression.Hamiltonian.canonical_key`.  Cache
 statistics are exposed via :func:`operator_cache_stats` so benchmarks
-can report hit rates.
+can report hit rates; :func:`repro.sim.propagators
+.clear_simulation_caches` empties them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "number_operator_matrix",
     "MatrixCache",
     "operator_cache_stats",
-    "clear_operator_cache",
-    "configure_operator_cache",
     "max_operator_qubits",
     "configure_operator_limits",
 ]
@@ -80,9 +79,9 @@ def configure_operator_limits(max_qubits: Optional[int] = None) -> None:
             )
         _operator_limits["max_qubits"] = int(max_qubits)
 
-#: Default cache capacities (entries, not bytes).
-DEFAULT_STRING_CACHE_SIZE = 4096
-DEFAULT_HAMILTONIAN_CACHE_SIZE = 512
+#: Cache capacities (entries, not bytes).
+STRING_CACHE_SIZE = 4096
+CSC_CACHE_SIZE = 512
 
 
 class MatrixCache:
@@ -124,9 +123,9 @@ class MatrixCache:
     def peek(self, key: object) -> Optional[object]:
         """Read a value without touching statistics or LRU order.
 
-        For read-through probes by sibling caches (e.g. the CSC cache
-        checking for an already-built CSR form) that must not distort
-        this cache's hit/miss accounting.
+        For probes that cannot be followed by a store (see
+        :func:`repro.sim.propagators.cached_propagator`) and must not
+        distort this cache's hit/miss accounting.
         """
         with self._lock:
             return self._data.get(key)
@@ -169,40 +168,16 @@ class MatrixCache:
             }
 
 
-_string_cache = MatrixCache(DEFAULT_STRING_CACHE_SIZE)
-_hamiltonian_cache = MatrixCache(DEFAULT_HAMILTONIAN_CACHE_SIZE)
-_csc_cache = MatrixCache(DEFAULT_HAMILTONIAN_CACHE_SIZE)
+_string_cache = MatrixCache(STRING_CACHE_SIZE)
+_csc_cache = MatrixCache(CSC_CACHE_SIZE)
 
 
 def operator_cache_stats() -> Dict[str, Dict[str, float]]:
     """Statistics of the process-wide operator caches."""
     return {
         "pauli_string": _string_cache.stats(),
-        "hamiltonian": _hamiltonian_cache.stats(),
         "hamiltonian_csc": _csc_cache.stats(),
     }
-
-
-def clear_operator_cache() -> None:
-    """Empty all operator caches and reset their statistics."""
-    _string_cache.clear()
-    _hamiltonian_cache.clear()
-    _csc_cache.clear()
-
-
-def configure_operator_cache(
-    string_maxsize: Optional[int] = None,
-    hamiltonian_maxsize: Optional[int] = None,
-    csc_maxsize: Optional[int] = None,
-) -> None:
-    """Resize the operator caches (clears the resized cache)."""
-    global _string_cache, _hamiltonian_cache, _csc_cache
-    if string_maxsize is not None:
-        _string_cache = MatrixCache(string_maxsize)
-    if hamiltonian_maxsize is not None:
-        _hamiltonian_cache = MatrixCache(hamiltonian_maxsize)
-    if csc_maxsize is not None:
-        _csc_cache = MatrixCache(csc_maxsize)
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -261,38 +236,26 @@ def pauli_string_matrix(
 
 
 def hamiltonian_matrix(
-    hamiltonian: Hamiltonian,
-    num_qubits: int,
-    copy: bool = True,
-    cache: bool = True,
+    hamiltonian: Hamiltonian, num_qubits: int
 ) -> sparse.csr_matrix:
     """CSR matrix ``Σ c_s · P_s`` of a Hamiltonian expression.
 
-    Results are memoized on ``(hamiltonian.canonical_key(), num_qubits)``.
-    With ``copy=False`` the cached matrix itself is returned — faster,
-    but the caller must not mutate it.  Pass ``cache=False`` for
-    one-shot Hamiltonians that will never recur (e.g. randomly
-    perturbed noise realizations): they skip the cache entirely instead
-    of churning useful entries out of it.
+    Always freshly built (the per-string factors come from the
+    Pauli-string cache), so the caller may mutate it.
     """
     _check_size(num_qubits)
-    key = (hamiltonian.canonical_key(), num_qubits)
-    cached = _hamiltonian_cache.get(key) if cache else None
-    if cached is None:
-        dim = 2**num_qubits
-        cached = sparse.csr_matrix((dim, dim), dtype=complex)
-        for string, coeff in hamiltonian.terms.items():
-            if string.max_qubit() >= num_qubits:
-                raise SimulationError(
-                    f"string {string} touches qubit {string.max_qubit()} "
-                    f"but the register has only {num_qubits} qubits"
-                )
-            cached = cached + coeff * _string_matrix(
-                string.canonical_key, num_qubits
+    dim = 2**num_qubits
+    matrix = sparse.csr_matrix((dim, dim), dtype=complex)
+    for string, coeff in hamiltonian.terms.items():
+        if string.max_qubit() >= num_qubits:
+            raise SimulationError(
+                f"string {string} touches qubit {string.max_qubit()} "
+                f"but the register has only {num_qubits} qubits"
             )
-        if cache:
-            _hamiltonian_cache.put(key, cached)
-    return cached.copy() if copy else cached
+        matrix = matrix + coeff * _string_matrix(
+            string.canonical_key, num_qubits
+        )
+    return matrix
 
 
 def hamiltonian_matrix_csc(
@@ -300,13 +263,13 @@ def hamiltonian_matrix_csc(
     num_qubits: int,
     cache: bool = True,
 ) -> sparse.csc_matrix:
-    """The CSC form of :func:`hamiltonian_matrix`, memoized separately.
+    """The CSC form of :func:`hamiltonian_matrix`, memoized.
 
-    ``expm_multiply`` wants CSC; converting the cached CSR matrix on
-    every ``evolve`` call threw away the benefit of a cache hit, so the
-    converted form gets its own LRU.  The returned matrix is shared —
-    callers must not mutate it (scalar multiplication, as in
-    ``-1j * t * matrix``, allocates a fresh matrix and is safe).
+    ``expm_multiply`` wants CSC, so the evolution path caches the
+    converted form.  The returned matrix is shared — callers must not
+    mutate it (scalar multiplication, as in ``-1j * t * matrix``,
+    allocates a fresh matrix and is safe).  ``cache=False`` neither
+    reads nor fills the cache (one-shot noise realizations).
     """
     _check_size(num_qubits)
     key = (hamiltonian.canonical_key(), num_qubits)
@@ -314,18 +277,7 @@ def hamiltonian_matrix_csc(
         cached = _csc_cache.get(key)
         if cached is not None:
             return cached
-    # Read through to an already-warm CSR entry (one .tocsc() away) but
-    # never *store* the CSR intermediate: the evolution path only ever
-    # reads the CSC entry, so writing both forms would keep two copies
-    # of every evolved Hamiltonian (the CSR cache stays reserved for
-    # the observables path, which reads it directly).  peek() keeps the
-    # probe out of the CSR hit/miss statistics.
-    csr = _hamiltonian_cache.peek(key) if cache else None
-    if csr is None:
-        csr = hamiltonian_matrix(
-            hamiltonian, num_qubits, copy=False, cache=False
-        )
-    csc = csr.tocsc()
+    csc = hamiltonian_matrix(hamiltonian, num_qubits).tocsc()
     if cache:
         _csc_cache.put(key, csc)
     return csc

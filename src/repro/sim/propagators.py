@@ -18,8 +18,14 @@ Krylov solver (:func:`scipy.sparse.linalg.expm_multiply`):
   single matmul.
 
 All caches reuse the thread-safe LRU of :class:`repro.sim.operators
-.MatrixCache`; statistics are exposed through
-:func:`simulation_cache_stats` next to the operator-cache stats.
+.MatrixCache` at fixed sizes, and the backend-selection thresholds are
+fixed constants too.  Only the two settings that depend on the host's
+memory are adjustable: :func:`configure_simulation_caches`
+(``memory_budget_bytes``) and :func:`repro.sim.operators
+.configure_operator_limits` (``max_qubits``).  Statistics of every
+simulator cache are exposed through :func:`simulation_cache_stats` next
+to the operator-cache stats, and :func:`clear_simulation_caches`
+empties them all.
 """
 
 from __future__ import annotations
@@ -32,12 +38,9 @@ from scipy.linalg import expm
 
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
-from repro.sim.kernels import (
-    DEFAULT_MAX_KRYLOV_DIM,
-    clear_kernel_caches,
-    configure_kernel_caches,
-    kernel_cache_stats,
-)
+import repro.sim.kernels as _kernels
+import repro.sim.operators as _operators
+from repro.sim.kernels import DEFAULT_MAX_KRYLOV_DIM, kernel_cache_stats
 from repro.sim.operators import (
     _SINGLE,
     MatrixCache,
@@ -68,21 +71,21 @@ __all__ = [
     "configure_simulation_caches",
 ]
 
-#: Default cache capacities (entries).
-DEFAULT_PROPAGATOR_CACHE_SIZE = 256
-DEFAULT_DIAGONAL_CACHE_SIZE = 1024
-DEFAULT_DENSE_STRING_CACHE_SIZE = 2048
+#: Cache capacities (entries).
+PROPAGATOR_CACHE_SIZE = 256
+DIAGONAL_CACHE_SIZE = 1024
+DENSE_STRING_CACHE_SIZE = 2048
 
 #: Registers larger than this never take the dense-propagator path:
 #: a 2^N × 2^N unitary stops paying for itself around N = 10.
-DEFAULT_PROPAGATOR_MAX_QUBITS = 10
+PROPAGATOR_MAX_QUBITS = 10
 
 #: Dense ``expm`` is only *built* on a cache miss up to this size —
 #: measured on this codebase, dense Padé beats one Krylov solve for
 #: N ≤ 7 (and beats a 20-column block solve by an order of magnitude);
 #: above that a miss falls back to ``expm_multiply`` and only cache
 #: *hits* use the dense path.
-DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS = 7
+PROPAGATOR_BUILD_MAX_QUBITS = 7
 
 #: Working-set budget (bytes) the auto backend selector plans against:
 #: a segment whose sparse CSR/CSC realization would not fit goes
@@ -93,26 +96,28 @@ DEFAULT_MEMORY_BUDGET_BYTES = 512 * 2**20
 #: the sparse path even when the matrix would fit: the per-realization
 #: kron-product assembly dominates, and the matrix-free kernels reuse
 #: their structure across realizations instead.
-DEFAULT_MATRIX_FREE_MIN_QUBITS = 12
+MATRIX_FREE_MIN_QUBITS = 12
 
 #: Wide same-Hamiltonian blocks amortize one sparse build across all
 #: columns, while the Lanczos propagator pays per column — above this
 #: width auto prefers sparse (when it fits the budget).
-DEFAULT_MATRIX_FREE_MAX_COLUMNS = 32
+MATRIX_FREE_MAX_COLUMNS = 32
 
 #: The selectable evolution backends (``auto`` resolves per segment).
 BACKEND_NAMES = ("auto", "dense", "sparse", "matrix_free")
 
-_propagator_cache = MatrixCache(DEFAULT_PROPAGATOR_CACHE_SIZE)
-_diagonal_cache = MatrixCache(DEFAULT_DIAGONAL_CACHE_SIZE)
-_dense_string_cache = MatrixCache(DEFAULT_DENSE_STRING_CACHE_SIZE)
+_propagator_cache = MatrixCache(PROPAGATOR_CACHE_SIZE)
+_diagonal_cache = MatrixCache(DIAGONAL_CACHE_SIZE)
+_dense_string_cache = MatrixCache(DENSE_STRING_CACHE_SIZE)
 
+#: The thresholds :func:`select_backend` reads, reported by
+#: :func:`simulation_cache_stats`; only the memory budget is settable.
 _limits = {
-    "propagator_max_qubits": DEFAULT_PROPAGATOR_MAX_QUBITS,
-    "propagator_build_max_qubits": DEFAULT_PROPAGATOR_BUILD_MAX_QUBITS,
+    "propagator_max_qubits": PROPAGATOR_MAX_QUBITS,
+    "propagator_build_max_qubits": PROPAGATOR_BUILD_MAX_QUBITS,
     "memory_budget_bytes": DEFAULT_MEMORY_BUDGET_BYTES,
-    "matrix_free_min_qubits": DEFAULT_MATRIX_FREE_MIN_QUBITS,
-    "matrix_free_max_columns": DEFAULT_MATRIX_FREE_MAX_COLUMNS,
+    "matrix_free_min_qubits": MATRIX_FREE_MIN_QUBITS,
+    "matrix_free_max_columns": MATRIX_FREE_MAX_COLUMNS,
 }
 
 
@@ -470,69 +475,39 @@ def simulation_cache_stats() -> Dict[str, object]:
 
 
 def clear_simulation_caches() -> None:
-    """Empty every fast-path cache (kernels included), reset counters."""
-    _propagator_cache.clear()
-    _diagonal_cache.clear()
-    _dense_string_cache.clear()
-    clear_kernel_caches()
+    """Empty every simulator cache and reset the fast-path counters.
+
+    Covers the operator caches (:mod:`repro.sim.operators`), the
+    matrix-free kernel caches (:mod:`repro.sim.kernels`) and the
+    fast-path caches of this module.
+    """
+    for cache in (
+        _operators._string_cache,
+        _operators._csc_cache,
+        _kernels._sign_cache,
+        _kernels._structure_cache,
+        _kernels._kernel_cache,
+        _kernels._index_cache,
+        _propagator_cache,
+        _diagonal_cache,
+        _dense_string_cache,
+    ):
+        cache.clear()
     _counters.reset()
 
 
 def configure_simulation_caches(
-    propagator_maxsize: Optional[int] = None,
-    diagonal_maxsize: Optional[int] = None,
-    dense_string_maxsize: Optional[int] = None,
-    propagator_max_qubits: Optional[int] = None,
-    propagator_build_max_qubits: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
-    matrix_free_min_qubits: Optional[int] = None,
-    matrix_free_max_columns: Optional[int] = None,
-    sign_maxsize: Optional[int] = None,
-    structure_maxsize: Optional[int] = None,
-    kernel_maxsize: Optional[int] = None,
 ) -> None:
-    """Resize the fast-path caches / thresholds (resized caches clear).
+    """Set the working-set budget :func:`select_backend` plans against.
 
-    ``memory_budget_bytes``, ``matrix_free_min_qubits`` and
-    ``matrix_free_max_columns`` steer :func:`select_backend`; the
-    ``sign``/``structure``/``kernel`` sizes forward to
-    :func:`repro.sim.kernels.configure_kernel_caches`.
+    It is the one simulator setting that depends on the host (its RAM);
+    cache sizes and the other selection thresholds are fixed constants.
+    ``None`` leaves the budget unchanged.
     """
-    global _propagator_cache, _diagonal_cache, _dense_string_cache
-    if propagator_maxsize is not None:
-        _propagator_cache = MatrixCache(propagator_maxsize)
-    if diagonal_maxsize is not None:
-        _diagonal_cache = MatrixCache(diagonal_maxsize)
-    if dense_string_maxsize is not None:
-        _dense_string_cache = MatrixCache(dense_string_maxsize)
-    if propagator_max_qubits is not None:
-        _limits["propagator_max_qubits"] = int(propagator_max_qubits)
-    if propagator_build_max_qubits is not None:
-        _limits["propagator_build_max_qubits"] = int(
-            propagator_build_max_qubits
-        )
     if memory_budget_bytes is not None:
         if memory_budget_bytes < 1:
             raise SimulationError(
                 f"memory budget must be positive, got {memory_budget_bytes}"
             )
         _limits["memory_budget_bytes"] = int(memory_budget_bytes)
-    if matrix_free_min_qubits is not None:
-        if matrix_free_min_qubits < 1:
-            raise SimulationError(
-                f"matrix_free_min_qubits must be >= 1, "
-                f"got {matrix_free_min_qubits}"
-            )
-        _limits["matrix_free_min_qubits"] = int(matrix_free_min_qubits)
-    if matrix_free_max_columns is not None:
-        if matrix_free_max_columns < 0:
-            raise SimulationError(
-                f"matrix_free_max_columns must be >= 0, "
-                f"got {matrix_free_max_columns}"
-            )
-        _limits["matrix_free_max_columns"] = int(matrix_free_max_columns)
-    configure_kernel_caches(
-        sign_maxsize=sign_maxsize,
-        structure_maxsize=structure_maxsize,
-        kernel_maxsize=kernel_maxsize,
-    )

@@ -144,6 +144,18 @@ class TestObservables:
         with pytest.raises(SimulationError):
             z_average(np.ones(3, dtype=complex))
 
+    def test_averages_past_the_operator_cap(self):
+        """No observable builds a matrix, so 18 qubits work (the operator
+        cap is 16)."""
+        n = 18
+        assert z_average(ground_state(n)) == 1.0
+        assert zz_average(ground_state(n)) == 1.0
+        neel = np.zeros(2**n, dtype=complex)
+        neel[int("10" * (n // 2), 2)] = 1.0
+        assert z_average(neel) == pytest.approx(0.0, abs=1e-12)
+        assert zz_average(neel) == pytest.approx(-1.0)
+        assert zz_average(neel, periodic=False) == pytest.approx(-1.0)
+
 
 class TestPhysics:
     def test_energy_conserved_under_own_evolution(self):

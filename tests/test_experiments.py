@@ -165,6 +165,36 @@ class TestSpecValidation:
     def test_spec_hash_changes_with_content(self):
         assert _spec().spec_hash != _spec(time=2.0).spec_hash
 
+    @pytest.mark.parametrize("value", ["false", "no", "off", 0.5, 0, None])
+    def test_verify_must_be_a_bool(self, value):
+        with pytest.raises(ExperimentError, match="verify must be true"):
+            _spec(verify=value)
+
+    @pytest.mark.parametrize("value", ["false", "no", "off", 0.5, 0, None])
+    def test_periodic_must_be_a_bool(self, value):
+        with pytest.raises(ExperimentError, match="simulation.periodic"):
+            _spec(simulation=dict(_sim_section(), periodic=value))
+
+    def test_vectorized_true_still_loads(self):
+        """Spec files and manifests from before the setting was removed
+        carry ``vectorized: true``; they load to the same spec."""
+        plain = _spec(simulation=_sim_section())
+        legacy = _spec(simulation=dict(_sim_section(), vectorized=True))
+        assert legacy == plain
+        assert legacy.spec_hash == plain.spec_hash
+        assert plain.simulation.to_dict()["vectorized"] is True
+
+    def test_vectorized_false_points_to_sparse_backend(self):
+        with pytest.raises(ExperimentError, match="backend: sparse"):
+            _spec(simulation=dict(_sim_section(), vectorized=False))
+
+    def test_vectorized_is_not_sweepable(self):
+        with pytest.raises(ExperimentError, match="not sweepable"):
+            _spec(
+                simulation=_sim_section(),
+                sweep={"simulation.vectorized": [True, False]},
+            )
+
 
 class TestCompilerPassesSection:
     def test_passes_section_canonicalized_and_hashable(self):
@@ -460,6 +490,26 @@ class TestCLI:
         path.write_text(json.dumps({"name": "bad"}))
         assert cli_main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("ising_sweep.yaml", "47fa2789428fbab1"),
+            ("zne_stretch_study.yaml", "d506e9882ed30f50"),
+            ("digital_vs_analog.yaml", "5a387ee2b9e5b83d"),
+            ("mis_adiabatic.yaml", "10425020b675e85b"),
+        ],
+    )
+    def test_example_spec_hashes_are_pinned(self, name, digest):
+        """The hash keys run directories; a spec-field edit that moves it
+        orphans every existing run of that spec."""
+        pytest.importorskip("yaml")
+        from pathlib import Path
+
+        spec_dir = Path(__file__).resolve().parent.parent / (
+            "examples/experiments"
+        )
+        assert load_spec(spec_dir / name).spec_hash == digest
 
     def test_example_specs_validate(self):
         pytest.importorskip("yaml")

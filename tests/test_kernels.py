@@ -27,35 +27,28 @@ from repro.sim import (
     select_backend,
     simulation_cache_stats,
 )
+from repro.sim import propagators
 from repro.sim.kernels import HamiltonianKernel, chebyshev_expm_multiply
 from repro.sim.operators import (
-    clear_operator_cache,
+    MatrixCache,
     configure_operator_limits,
     hamiltonian_matrix,
     max_operator_qubits,
     pauli_string_matrix,
 )
+from repro.testing.reference import PerRealizationSimulator
 
 ATOL = 1e-10
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches_and_limits():
-    """Every test starts and ends with default caches and limits."""
-    clear_operator_cache()
+    """Every test starts and ends with empty caches and default limits."""
     clear_simulation_caches()
     yield
-    clear_operator_cache()
     clear_simulation_caches()
     configure_operator_limits(max_qubits=16)
-    configure_simulation_caches(
-        propagator_maxsize=256,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
-        memory_budget_bytes=512 * 2**20,
-        matrix_free_min_qubits=12,
-        matrix_free_max_columns=32,
-    )
+    configure_simulation_caches(memory_budget_bytes=512 * 2**20)
 
 
 def random_hamiltonian(
@@ -299,22 +292,20 @@ class TestBackendSelection:
         evolve(state, h, 0.3, n, cache=False)  # auto → matrix_free
         assert simulation_cache_stats()["fast_paths"]["matrix_free"] >= 1
 
-    def test_conflicting_selectors_rejected(self):
+    def test_unknown_backend_rejected(self):
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
         with pytest.raises(SimulationError):
-            evolve(state, zz(0, 1), 0.5, 3, method="krylov", backend="dense")
-        with pytest.raises(SimulationError):
             evolve(state, zz(0, 1), 0.5, 3, backend="gpu")
-        # krylov + sparse spell the same path and must not conflict.
-        evolve(state, x(0), 0.5, 3, method="krylov", backend="sparse")
+        with pytest.raises(SimulationError):
+            evolve(state, zz(0, 1), 0.5, 3, backend="krylov")
 
 
 class TestPropagatorCacheEviction:
-    def test_block_evolution_at_dense_cutoff_evicts(self):
+    def test_block_evolution_at_dense_cutoff_evicts(self, monkeypatch):
         """A tiny propagator cache under block evolution must evict, not
         grow — and keep producing correct states while doing so."""
-        configure_simulation_caches(propagator_maxsize=2)
+        monkeypatch.setattr(propagators, "_propagator_cache", MatrixCache(2))
         rng = np.random.default_rng(31)
         n = 3
         hams = [random_hamiltonian(rng, n) for _ in range(5)]
@@ -324,11 +315,11 @@ class TestPropagatorCacheEviction:
         assert stats["evictions"] >= 3
         assert stats["size"] <= 2
         for i, h in enumerate(hams):
-            reference = evolve(block[:, i], h, 0.4, n, method="krylov")
+            reference = evolve(block[:, i], h, 0.4, n, backend="sparse")
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
-    def test_eviction_keeps_most_recent_entries_hittable(self):
-        configure_simulation_caches(propagator_maxsize=1)
+    def test_eviction_keeps_most_recent_entries_hittable(self, monkeypatch):
+        monkeypatch.setattr(propagators, "_propagator_cache", MatrixCache(1))
         rng = np.random.default_rng(32)
         n = 3
         h = random_hamiltonian(rng, n)
@@ -407,31 +398,9 @@ class TestKernelCaches:
 
     def test_invalid_selection_limits_rejected(self):
         with pytest.raises(SimulationError):
-            configure_simulation_caches(matrix_free_min_qubits=0)
-        with pytest.raises(SimulationError):
-            configure_simulation_caches(matrix_free_max_columns=-1)
-        with pytest.raises(SimulationError):
             configure_simulation_caches(memory_budget_bytes=0)
 
-    def test_cli_rejects_backend_with_legacy_loop(self, capsys):
-        code = cli_main(
-            [
-                "simulate",
-                "--model",
-                "ising_chain",
-                "-n",
-                "3",
-                "--shots",
-                "20",
-                "--no-vectorized",
-                "--backend",
-                "matrix_free",
-            ]
-        )
-        assert code == 2
-        assert "--no-vectorized" in capsys.readouterr().err
-
-    def test_cli_legacy_loop_records_sparse_backend(self, capsys):
+    def test_cli_records_selected_backend(self, capsys):
         code = cli_main(
             [
                 "simulate",
@@ -443,7 +412,8 @@ class TestKernelCaches:
                 "20",
                 "--noise-samples",
                 "2",
-                "--no-vectorized",
+                "--backend",
+                "sparse",
             ]
         )
         assert code == 0
@@ -466,7 +436,7 @@ class TestNoisySimulatorBackend:
         fast = NoisySimulator(
             noise_samples=4, seed=9, backend="matrix_free"
         )
-        legacy = NoisySimulator(noise_samples=4, seed=9, vectorized=False)
+        legacy = PerRealizationSimulator(noise_samples=4, seed=9)
         a = fast.run(schedule, shots=120)
         b = legacy.run(schedule, shots=120)
         assert np.array_equal(a, b)

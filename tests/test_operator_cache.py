@@ -1,5 +1,6 @@
-"""Operator matrix cache: hit/miss semantics, stable hashing of equal
-Hamiltonians, copy isolation, eviction, and compiler-level reuse."""
+"""Operator matrix caches: hit/miss semantics of the CSC cache, stable
+hashing of equal Hamiltonians, fresh CSR matrices, eviction, and
+compiler-level reuse."""
 
 import numpy as np
 import pytest
@@ -9,41 +10,42 @@ from repro.devices import paper_example_spec
 from repro.hamiltonian import Hamiltonian, PauliString
 from repro.hamiltonian.expression import x, z, zz
 from repro.models import ising_chain
+from repro.sim import operators
 from repro.sim.operators import (
     MatrixCache,
-    clear_operator_cache,
-    configure_operator_cache,
     hamiltonian_matrix,
+    hamiltonian_matrix_csc,
     operator_cache_stats,
     pauli_string_matrix,
 )
+from repro.sim.propagators import clear_simulation_caches
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test starts and ends with empty, default-sized caches."""
-    configure_operator_cache(string_maxsize=4096, hamiltonian_maxsize=512)
+    """Each test starts and ends with empty caches."""
+    clear_simulation_caches()
     yield
-    configure_operator_cache(string_maxsize=4096, hamiltonian_maxsize=512)
+    clear_simulation_caches()
 
 
 class TestHitMissSemantics:
     def test_first_build_misses_second_hits(self):
         h = zz(0, 1) + 0.5 * x(0)
-        hamiltonian_matrix(h, 2)
-        stats = operator_cache_stats()["hamiltonian"]
+        hamiltonian_matrix_csc(h, 2)
+        stats = operator_cache_stats()["hamiltonian_csc"]
         assert stats["misses"] == 1
         assert stats["hits"] == 0
-        hamiltonian_matrix(h, 2)
-        stats = operator_cache_stats()["hamiltonian"]
+        hamiltonian_matrix_csc(h, 2)
+        stats = operator_cache_stats()["hamiltonian_csc"]
         assert stats["hits"] == 1
         assert stats["hit_rate"] == 0.5
 
     def test_different_num_qubits_are_distinct_entries(self):
         h = zz(0, 1)
-        hamiltonian_matrix(h, 2)
-        hamiltonian_matrix(h, 3)
-        stats = operator_cache_stats()["hamiltonian"]
+        hamiltonian_matrix_csc(h, 2)
+        hamiltonian_matrix_csc(h, 3)
+        stats = operator_cache_stats()["hamiltonian_csc"]
         assert stats["misses"] == 2
         assert stats["hits"] == 0
 
@@ -55,12 +57,13 @@ class TestHitMissSemantics:
         assert stats["hits"] >= 1
 
     def test_clear_resets_statistics(self):
-        hamiltonian_matrix(zz(0, 1), 2)
-        clear_operator_cache()
+        hamiltonian_matrix_csc(zz(0, 1), 2)
+        clear_simulation_caches()
         stats = operator_cache_stats()
-        assert stats["hamiltonian"]["hits"] == 0
-        assert stats["hamiltonian"]["misses"] == 0
-        assert stats["hamiltonian"]["size"] == 0
+        for cache in ("pauli_string", "hamiltonian_csc"):
+            assert stats[cache]["hits"] == 0
+            assert stats[cache]["misses"] == 0
+            assert stats[cache]["size"] == 0
 
     def test_cached_value_is_correct(self):
         h = zz(0, 1) - 0.7 * z(0)
@@ -78,12 +81,6 @@ class TestCopyIsolation:
         expected = np.diag([1, -1, -1, 1]).astype(complex)
         assert np.allclose(clean, expected)
 
-    def test_no_copy_flag_returns_shared_instance(self):
-        h = zz(0, 1)
-        a = hamiltonian_matrix(h, 2, copy=False)
-        b = hamiltonian_matrix(h, 2, copy=False)
-        assert a is b
-
 
 class TestHashStability:
     def test_equal_hamiltonians_share_canonical_key(self):
@@ -96,9 +93,9 @@ class TestHashStability:
     def test_equal_hamiltonians_share_cache_entry(self):
         a = zz(0, 1) + 0.5 * x(0)
         b = 0.5 * x(0) + zz(0, 1)
-        hamiltonian_matrix(a, 2)
-        hamiltonian_matrix(b, 2)
-        stats = operator_cache_stats()["hamiltonian"]
+        hamiltonian_matrix_csc(a, 2)
+        hamiltonian_matrix_csc(b, 2)
+        stats = operator_cache_stats()["hamiltonian_csc"]
         assert stats["misses"] == 1
         assert stats["hits"] == 1
 
@@ -125,16 +122,16 @@ class TestHashStability:
 
 
 class TestEviction:
-    def test_lru_eviction_counts(self):
-        configure_operator_cache(hamiltonian_maxsize=2)
-        hamiltonian_matrix(z(0), 1)
-        hamiltonian_matrix(x(0), 1)
-        hamiltonian_matrix(z(0) + x(0), 1)  # evicts z(0)
-        stats = operator_cache_stats()["hamiltonian"]
+    def test_lru_eviction_counts(self, monkeypatch):
+        monkeypatch.setattr(operators, "_csc_cache", MatrixCache(2))
+        hamiltonian_matrix_csc(z(0), 1)
+        hamiltonian_matrix_csc(x(0), 1)
+        hamiltonian_matrix_csc(z(0) + x(0), 1)  # evicts z(0)
+        stats = operator_cache_stats()["hamiltonian_csc"]
         assert stats["evictions"] == 1
         assert stats["size"] == 2
-        hamiltonian_matrix(z(0), 1)  # must rebuild
-        assert operator_cache_stats()["hamiltonian"]["misses"] == 4
+        hamiltonian_matrix_csc(z(0), 1)  # must rebuild
+        assert operator_cache_stats()["hamiltonian_csc"]["misses"] == 4
 
     def test_zero_capacity_disables_storage(self):
         cache = MatrixCache(0)

@@ -10,7 +10,8 @@ from repro.core.error_bounds import theorem1_bound
 from repro.core.linear_system import b_difference_l1, l1_norm
 from repro.core.partition import partition_channels
 from repro.hamiltonian import Hamiltonian, PauliString
-from repro.sim.operators import pauli_string_matrix
+from repro.sim import expectation, pauli_expectation
+from repro.sim.operators import hamiltonian_matrix, pauli_string_matrix
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -124,6 +125,49 @@ class TestHamiltonianProperties:
         assert stripped.coefficient(PauliString.identity()) == 0.0
         for string, coeff in stripped.terms.items():
             assert coeff == pytest.approx(h.coefficient(string))
+
+
+# ----------------------------------------------------------------------
+# Matrix-free observables vs. the sparse matrices
+# ----------------------------------------------------------------------
+def _register_and_state(strings, pad, seed):
+    """The smallest register ≥ ``pad`` holding ``strings``, and a random
+    normalized state on it."""
+    needed = max((s.max_qubit() for s in strings), default=-1) + 1
+    n = max(needed, pad)
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return n, state / np.linalg.norm(state)
+
+
+class TestObservableProperties:
+    @given(
+        pauli_strings(max_qubits=10),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pauli_expectation_matches_matrix(self, string, pad, seed):
+        n, state = _register_and_state([string], pad, seed)
+        matrix = pauli_string_matrix(string, n)
+        expected = np.vdot(state, matrix @ state).real
+        assert pauli_expectation(state, string) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+    @given(
+        hamiltonians(max_terms=6, max_qubits=10),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_expectation_matches_matrix(self, h, pad, seed):
+        n, state = _register_and_state(h.pauli_strings(), pad, seed)
+        matrix = hamiltonian_matrix(h, n)
+        expected = np.vdot(state, matrix @ state).real
+        assert expectation(state, h) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12
+        )
 
 
 # ----------------------------------------------------------------------

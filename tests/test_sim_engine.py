@@ -18,7 +18,6 @@ from repro.models import ising_chain
 from repro.sim import (
     NoisySimulator,
     clear_simulation_caches,
-    configure_simulation_caches,
     evolve,
     evolve_block,
     evolve_piecewise,
@@ -26,39 +25,21 @@ from repro.sim import (
     evolve_schedule_block,
     simulation_cache_stats,
 )
-from repro.sim.operators import (
-    clear_operator_cache,
-    hamiltonian_matrix_csc,
-    operator_cache_stats,
-)
+from repro.sim import propagators
+from repro.sim.operators import hamiltonian_matrix_csc, operator_cache_stats
 from repro.sim.propagators import is_diagonal_hamiltonian
 from repro.sim.sampling import counts_from_samples, sample_bitstrings
+from repro.testing.reference import PerRealizationSimulator
 
 ATOL = 1e-10
 
 
 @pytest.fixture(autouse=True)
 def fresh_simulation_caches():
-    """Each test starts and ends with empty, default-configured caches."""
-    clear_operator_cache()
+    """Each test starts and ends with empty caches."""
     clear_simulation_caches()
-    configure_simulation_caches(
-        propagator_maxsize=256,
-        diagonal_maxsize=1024,
-        dense_string_maxsize=2048,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
-    )
     yield
-    clear_operator_cache()
     clear_simulation_caches()
-    configure_simulation_caches(
-        propagator_maxsize=256,
-        diagonal_maxsize=1024,
-        dense_string_maxsize=2048,
-        propagator_max_qubits=10,
-        propagator_build_max_qubits=7,
-    )
 
 
 def random_hamiltonian(
@@ -95,7 +76,7 @@ class TestBlockEvolve:
         out = evolve(block, h, 0.7, n)
         singles = np.stack(
             [
-                evolve(block[:, i], h, 0.7, n, method="krylov")
+                evolve(block[:, i], h, 0.7, n, backend="sparse")
                 for i in range(k)
             ],
             axis=1,
@@ -112,7 +93,7 @@ class TestBlockEvolve:
         out = evolve_block(block, hams, durations, n)
         for i in range(k):
             single = evolve(
-                block[:, i], hams[i], durations[i], n, method="krylov"
+                block[:, i], hams[i], durations[i], n, backend="sparse"
             )
             assert np.allclose(out[:, i], single, atol=ATOL)
 
@@ -148,7 +129,7 @@ class TestBlockEvolve:
         with pytest.raises(SimulationError):
             evolve_block(block[:, 0], [zz(0, 1)], 0.5, 3)  # not a block
         with pytest.raises(SimulationError):
-            evolve(block, zz(0, 1), 0.5, 3, method="magic")
+            evolve(block, zz(0, 1), 0.5, 3, backend="magic")
 
 
 class TestDiagonalFastPath:
@@ -159,7 +140,7 @@ class TestDiagonalFastPath:
         h = random_hamiltonian(rng, n, diagonal=True)
         state = random_block(rng, n, 1)[:, 0]
         fast = evolve(state, h, 1.3, n)
-        reference = evolve(state, h, 1.3, n, method="krylov")
+        reference = evolve(state, h, 1.3, n, backend="sparse")
         assert np.allclose(fast, reference, atol=ATOL)
         assert simulation_cache_stats()["fast_paths"]["diagonal"] >= 1
 
@@ -185,7 +166,7 @@ class TestDiagonalFastPath:
         target = PiecewiseHamiltonian.from_pairs(segments)
         block = random_block(rng, n, 3)
         out = evolve_piecewise(block, target, n)
-        reference = evolve_piecewise(block, target, n, method="krylov")
+        reference = evolve_piecewise(block, target, n, backend="sparse")
         assert np.allclose(out, reference, atol=ATOL)
         assert simulation_cache_stats()["fast_paths"]["diagonal"] > 0
 
@@ -197,11 +178,11 @@ class TestSupportValidation:
         state = random_block(rng, 3, 1)[:, 0]
         non_diagonal = x(0) + x(5)
         diagonal = z(0) + z(5)
-        for method in ("auto", "dense", "krylov"):
+        for backend in ("auto", "dense", "sparse"):
             with pytest.raises(SimulationError):
-                evolve(state, non_diagonal, 0.5, 3, method=method)
+                evolve(state, non_diagonal, 0.5, 3, backend=backend)
             with pytest.raises(SimulationError):
-                evolve(state, diagonal, 0.5, 3, method=method)
+                evolve(state, diagonal, 0.5, 3, backend=backend)
 
 
 class TestPropagatorCache:
@@ -216,7 +197,7 @@ class TestPropagatorCache:
         assert stats["propagator"]["hits"] >= 1
         assert stats["fast_paths"]["propagator"] >= 1
         assert np.allclose(first, second, atol=ATOL)
-        reference = evolve(state, h, 0.9, n, method="krylov")
+        reference = evolve(state, h, 0.9, n, backend="sparse")
         assert np.allclose(first, reference, atol=ATOL)
 
     def test_distinct_durations_are_distinct_entries(self):
@@ -246,11 +227,13 @@ class TestPropagatorCache:
         out = evolve_block(block, [h] * 4, 0.4, n)
         assert simulation_cache_stats()["fast_paths"]["propagator"] >= 4
         for i in range(4):
-            reference = evolve(block[:, i], h, 0.4, n, method="krylov")
+            reference = evolve(block[:, i], h, 0.4, n, backend="sparse")
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
-    def test_build_threshold_zero_falls_back_to_krylov(self):
-        configure_simulation_caches(propagator_build_max_qubits=0)
+    def test_build_threshold_zero_falls_back_to_krylov(self, monkeypatch):
+        monkeypatch.setitem(
+            propagators._limits, "propagator_build_max_qubits", 0
+        )
         rng = np.random.default_rng(9)
         n = 3
         h = random_hamiltonian(rng, n)
@@ -272,7 +255,7 @@ class TestEvolveScheduleBlock:
         out = evolve_schedule_block(block, schedule)
         for i in range(4):
             single = evolve_schedule(
-                block[:, i], schedule, method="krylov"
+                block[:, i], schedule, backend="sparse"
             )
             assert np.allclose(out[:, i], single, atol=ATOL)
 
@@ -299,7 +282,7 @@ class TestEvolveScheduleBlock:
                 block[:, i],
                 schedule,
                 value_overrides=overrides[i],
-                method="krylov",
+                backend="sparse",
             )
             assert np.allclose(out[:, i], single, atol=ATOL)
 
@@ -318,18 +301,16 @@ class TestVectorizedNoisySimulator:
         return QTurboCompiler(paper_aais).compile(ising_chain(3), 1.0).schedule
 
     def test_vectorized_matches_legacy_samples(self, schedule):
-        vectorized = NoisySimulator(noise_samples=6, seed=4, vectorized=True)
-        legacy = NoisySimulator(noise_samples=6, seed=4, vectorized=False)
+        vectorized = NoisySimulator(noise_samples=6, seed=4)
+        legacy = PerRealizationSimulator(noise_samples=6, seed=4)
         a = vectorized.run(schedule, shots=200)
         b = legacy.run(schedule, shots=200)
         assert np.array_equal(a, b)
 
     def test_zne_identical_across_paths(self, schedule):
         results = []
-        for flag in (True, False):
-            simulator = NoisySimulator(
-                noise_samples=4, seed=2, vectorized=flag
-            )
+        for simulator_class in (NoisySimulator, PerRealizationSimulator):
+            simulator = simulator_class(noise_samples=4, seed=2)
             results.append(
                 zne_observables(
                     schedule, simulator, factors=(1.0, 1.5), shots=80
@@ -426,7 +407,8 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["observables"]) == {"z_avg", "zz_avg"}
-        assert payload["vectorized"] is True
+        assert "vectorized" not in payload
+        assert payload["backend"] == "auto"
         assert "simulation_cache" in payload
 
     def test_simulate_zne(self, capsys):
