@@ -43,6 +43,7 @@ from repro.hamiltonian import Hamiltonian
 from repro.hamiltonian.expression import x, zz
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian, Segment
 from repro.models import ising_chain
+from repro.store import LRUCache
 
 DEFAULT_OUTPUT = "BENCH_compile.json"
 
@@ -124,17 +125,21 @@ def measure_fusion(
     report: Dict[str, object] = {
         "workload": f"dense_ising on {device}, sizes={sizes} x{repeat}",
     }
-    for cache_mode, cache_size in (("cold", 0), ("warm", 32)):
+    for cache_mode in ("cold", "warm"):
         section = {}
         for label, passes in (("default", None), ("fused", FUSION_PASSES)):
             compilers = {
                 n: QTurboCompiler(
                     aais_for_device(device, n, device_options),
-                    system_cache_size=cache_size,
                     passes=passes,
                 )
                 for n in sizes
             }
+            if cache_mode == "cold":
+                # A zero-capacity system cache stores nothing, so every
+                # compile re-assembles its linear system.
+                for compiler in compilers.values():
+                    compiler._system_cache = LRUCache(0)
             paired = [
                 compilers[n] for n in sizes for _ in range(repeat)
             ]

@@ -22,7 +22,6 @@ Design notes
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple, Union
@@ -33,7 +32,7 @@ from repro.batch.retry import RetryPolicy, call_with_retry
 from repro.core.compiler import QTurboCompiler
 from repro.core.pipeline.delta import _aais_digest, structure_digest
 from repro.errors import classify_failure
-from repro.store import merge_counters
+from repro.store import LRUCache, merge_counters
 from repro.testing.faults import fault_point
 
 __all__ = [
@@ -51,9 +50,14 @@ __all__ = [
 #: keying matters under the process executor, where every pickled
 #: payload unpickles a fresh but equal AAIS object: equal content must
 #: reuse one compiler so the linear-system cache can hit across jobs.
-_WORKER_COMPILERS: "OrderedDict[tuple, QTurboCompiler]" = OrderedDict()
-_WORKER_COMPILERS_LOCK = threading.Lock()
-_WORKER_COMPILER_CAP = 16
+_WORKER_COMPILERS = LRUCache(16)
+
+#: Worker-side memo of ideal reference states.  Repeated-target batches
+#: verify the same piecewise evolution once per process instead of once
+#: per job; the compiled-schedule evolution below additionally rides the
+#: simulation fast paths (diagonal segments, dense propagator cache) of
+#: :mod:`repro.sim.evolution` for recurring segments.
+_IDEAL_STATES = LRUCache(64)
 
 #: Verification is skipped above this register size regardless of the
 #: per-batch (or per-experiment) cap — state vectors grow as 2^N.  The
@@ -65,10 +69,8 @@ HARD_VERIFY_CAP = 20
 
 def reset_worker_compilers() -> None:
     """Drop the in-process compiler memo (benchmark cold-start hygiene)."""
-    with _WORKER_COMPILERS_LOCK:
-        _WORKER_COMPILERS.clear()
-    if _ideal_state_cache is not None:
-        _ideal_state_cache.clear()
+    _WORKER_COMPILERS.clear()
+    _IDEAL_STATES.clear()
 
 
 def compiler_for(job: BatchJob) -> QTurboCompiler:
@@ -80,16 +82,10 @@ def compiler_for(job: BatchJob) -> QTurboCompiler:
     workers use; the experiment runner calls it directly.
     """
     key = (_aais_digest(job.aais), job.compiler_options)
-    with _WORKER_COMPILERS_LOCK:
-        compiler = _WORKER_COMPILERS.get(key)
-        if compiler is not None:
-            _WORKER_COMPILERS.move_to_end(key)
-            return compiler
-    compiler = QTurboCompiler(job.aais, **job.options)
-    with _WORKER_COMPILERS_LOCK:
-        _WORKER_COMPILERS[key] = compiler
-        while len(_WORKER_COMPILERS) > _WORKER_COMPILER_CAP:
-            _WORKER_COMPILERS.popitem(last=False)
+    compiler = _WORKER_COMPILERS.get(key)
+    if compiler is None:
+        compiler = QTurboCompiler(job.aais, **job.options)
+        _WORKER_COMPILERS.put(key, compiler)
     return compiler
 
 
@@ -132,52 +128,27 @@ def pass_cache_stats() -> dict:
     pipeline passes read — the ``build_linear_system`` pass's shared
     linear-system LRU, the ``partition`` pass's memo, and (when
     configured) the incremental-compilation snapshot store.  This sums
-    their hit/miss/eviction counters over every live compiler in this
-    process (worker processes of the ``process`` executor keep their
-    own memos, which are not visible here).
+    their counters over every live compiler in this process (worker
+    processes of the ``process`` executor keep their own memos, which
+    are not visible here); ``linear_system.hit_rate`` is recomputed
+    from the summed hits and misses.  The ``linear_system`` and
+    ``partition`` buckets are present even with no live compiler.
     """
-    with _WORKER_COMPILERS_LOCK:
-        compilers = list(_WORKER_COMPILERS.values())
+    # The memo's entries are the live compilers; read them under its lock.
+    with _WORKER_COMPILERS._lock:
+        compilers = list(_WORKER_COMPILERS._data.values())
     totals = {
         "compilers": len(compilers),
-        "linear_system": {
-            "hits": 0,
-            "misses": 0,
-            "size": 0,
-            "capacity": 0,
-            "evictions": 0,
-        },
+        "linear_system": LRUCache(0).stats(),
         "partition": {"hits": 0, "misses": 0},
     }
     for compiler in compilers:
         for cache_name, counters in compiler.pass_cache_stats().items():
             merge_counters(totals.setdefault(cache_name, {}), counters)
+    system = totals["linear_system"]
+    lookups = system["hits"] + system["misses"]
+    system["hit_rate"] = system["hits"] / lookups if lookups else 0.0
     return totals
-
-
-#: Worker-side memo of ideal reference states.  Repeated-target batches
-#: verify the same piecewise evolution once per process instead of once
-#: per job; the compiled-schedule evolution below additionally rides the
-#: simulation fast paths (diagonal segments, dense propagator cache) of
-#: :mod:`repro.sim.evolution` for recurring segments.
-_IDEAL_STATE_CACHE_SIZE = 64
-_ideal_state_cache = None
-
-
-def _ideal_state_cache_get():
-    global _ideal_state_cache
-    cache = _ideal_state_cache
-    if cache is None:
-        from repro.sim.operators import MatrixCache
-
-        # Double-checked under the shared lock: thread-executor workers
-        # can race the first verification, and an unguarded assignment
-        # would silently drop one instance's entries.
-        with _WORKER_COMPILERS_LOCK:
-            if _ideal_state_cache is None:
-                _ideal_state_cache = MatrixCache(_IDEAL_STATE_CACHE_SIZE)
-            cache = _ideal_state_cache
-    return cache
 
 
 def verify_fidelity(job: BatchJob, result) -> Optional[float]:
@@ -197,7 +168,6 @@ def verify_fidelity(job: BatchJob, result) -> Optional[float]:
 
     num_qubits = job.aais.num_sites
     initial = ground_state(num_qubits)
-    cache = _ideal_state_cache_get()
     key = (
         tuple(
             (segment.hamiltonian.canonical_key(), segment.duration)
@@ -205,10 +175,10 @@ def verify_fidelity(job: BatchJob, result) -> Optional[float]:
         ),
         num_qubits,
     )
-    ideal = cache.get(key)
+    ideal = _IDEAL_STATES.get(key)
     if ideal is None:
         ideal = evolve_piecewise(initial, job.target, num_qubits)
-        cache.put(key, ideal)
+        _IDEAL_STATES.put(key, ideal)
     compiled = evolve_schedule(initial, result.schedule)
     return float(state_fidelity(ideal, compiled))
 

@@ -25,7 +25,6 @@ travel inside job records.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TypeVar
@@ -35,6 +34,7 @@ from repro.errors import (
     RetryExhaustedError,
     classify_failure,
 )
+from repro.store import Counters
 
 __all__ = [
     "RetryPolicy",
@@ -46,14 +46,21 @@ __all__ = [
 
 T = TypeVar("T")
 
-_COUNTERS: Dict[str, int] = {}
-_COUNTERS_LOCK = threading.Lock()
+_COUNTERS = Counters(
+    (
+        "retries",
+        "retry_successes",
+        "retry_exhausted",
+        "timeouts",
+        "pool_respawns",
+        "downgrades",
+    )
+)
 
 
 def count_fault_event(key: str, amount: int = 1) -> None:
     """Add one fault-tolerance event to this process's counters."""
-    with _COUNTERS_LOCK:
-        _COUNTERS[key] = _COUNTERS.get(key, 0) + amount
+    _COUNTERS.add(key, amount)
 
 
 def fault_tolerance_stats() -> Dict[str, int]:
@@ -67,24 +74,12 @@ def fault_tolerance_stats() -> Dict[str, int]:
     Worker processes keep their own counters; per-job retry counts
     travel in job records instead.
     """
-    with _COUNTERS_LOCK:
-        stats = dict(_COUNTERS)
-    for key in (
-        "retries",
-        "retry_successes",
-        "retry_exhausted",
-        "timeouts",
-        "pool_respawns",
-        "downgrades",
-    ):
-        stats.setdefault(key, 0)
-    return stats
+    return _COUNTERS.snapshot()
 
 
 def reset_fault_stats() -> None:
     """Zero the counters (benchmark/test hygiene)."""
-    with _COUNTERS_LOCK:
-        _COUNTERS.clear()
+    _COUNTERS.reset()
 
 
 @dataclass(frozen=True)

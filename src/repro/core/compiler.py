@@ -29,9 +29,7 @@ evolution time stretches to compensate.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -58,6 +56,7 @@ from repro.core.pipeline.unit import CompilationUnit
 from repro.core.result import CompilationResult, StageTimings
 from repro.core.time_optimizer import MIN_TIME_FLOOR
 from repro.errors import CompilationError, InfeasibleError
+from repro.store import Counters, LRUCache
 from repro.testing.faults import fault_point
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.time_dependent import (
@@ -66,6 +65,11 @@ from repro.hamiltonian.time_dependent import (
 )
 
 __all__ = ["QTurboCompiler"]
+
+#: LRU capacity of each compiler's linear-system cache: the number of
+#: :class:`GlobalLinearSystem` instances (one per distinct target term
+#: structure) kept across :meth:`QTurboCompiler.compile` calls.
+SYSTEM_CACHE_SIZE = 32
 
 #: Stage-timing bucket each pass's wall time is charged to.
 _PASS_STAGE = {
@@ -100,14 +104,6 @@ class QTurboCompiler:
         When False, every local system is solved by the generic bounded
         least-squares fallback instead of the closed-form strategies —
         an ablation knob for measuring what the analytic solvers buy.
-    system_cache_size:
-        LRU capacity of the shared linear-system cache: the number of
-        :class:`GlobalLinearSystem` instances (one per distinct target
-        term structure) kept across :meth:`compile` calls.  Repeat
-        compilations of structurally identical targets — the common case
-        in batch workloads — reuse the assembled matrix and its cached
-        factorization; least-recently-used systems are evicted beyond
-        the cap (see :meth:`system_cache_stats`).  Set to 0 to disable.
     passes:
         Pipeline configuration: None for the default pipeline, a
         mapping with ``enable``/``disable``/``order`` lists of pass
@@ -136,7 +132,6 @@ class QTurboCompiler:
         feasibility_growth: float = 1.15,
         max_feasibility_iters: int = 25,
         use_analytic_solvers: bool = True,
-        system_cache_size: int = 32,
         passes=None,
         snapshots=None,
     ):
@@ -148,7 +143,6 @@ class QTurboCompiler:
         self.feasibility_growth = float(feasibility_growth)
         self.max_feasibility_iters = int(max_feasibility_iters)
         self.use_analytic_solvers = bool(use_analytic_solvers)
-        self.system_cache_size = int(system_cache_size)
         if isinstance(passes, PassManager):
             self.pipeline_config = None
             self._pass_manager = passes
@@ -157,19 +151,15 @@ class QTurboCompiler:
             self._pass_manager = build_pipeline(
                 self.pipeline_config, refine=self.refine
             )
-        self._system_cache: "OrderedDict[tuple, GlobalLinearSystem]" = (
-            OrderedDict()
-        )
-        self._system_cache_lock = threading.Lock()
-        self._system_cache_hits = 0
-        self._system_cache_misses = 0
-        self._system_cache_evictions = 0
+        # Repeat compilations of structurally identical targets — the
+        # common case in batch workloads — reuse the assembled matrix
+        # and its cached factorization.
+        self._system_cache = LRUCache(SYSTEM_CACHE_SIZE)
         # Channels never change for a compiler, so the partition and the
         # per-component solver strategies are computed once, lazily.
         self._partition: "List | None" = None
         self._strategies: "List[LocalSolverStrategy] | None" = None
-        self._partition_hits = 0
-        self._partition_misses = 0
+        self._partition_counters = Counters(("hits", "misses"))
         if snapshots is None or isinstance(snapshots, SnapshotStore):
             self._snapshots: Optional[SnapshotStore] = snapshots
         else:
@@ -358,14 +348,17 @@ class QTurboCompiler:
         return result
 
     def _seed_caches(self, shared) -> None:
-        """Install a donor's structural state into the in-memory caches."""
+        """Install a donor's structural state into the in-memory caches.
+
+        An entry already cached for the key is kept (and not refreshed);
+        seeding counts no hit or miss, and the LRU cap still holds.
+        """
         key = shared.get("system_key")
         system = shared.get("system")
-        if key is not None and system is not None and self.system_cache_size > 0:
+        if key is not None and system is not None:
             cache_key = tuple(key)
-            with self._system_cache_lock:
-                if cache_key not in self._system_cache:
-                    self._system_cache[cache_key] = system
+            if self._system_cache.peek(cache_key) is None:
+                self._system_cache.put(cache_key, system)
         if self._partition is None and shared.get("components") is not None:
             self._strategies = list(shared["strategies"])
             self._partition = list(shared["components"])
@@ -441,12 +434,6 @@ class QTurboCompiler:
             )
         return describe_unit_state(captured["unit"], index, source="replay")
 
-    def snapshot_stats(self) -> Optional[Dict[str, object]]:
-        """This compiler's snapshot-store statistics (None when disabled)."""
-        if self._snapshots is None:
-            return None
-        return self._snapshots.stats()
-
     # ------------------------------------------------------------------
     # Structural caches (the pass-level cache layer)
     # ------------------------------------------------------------------
@@ -466,21 +453,11 @@ class QTurboCompiler:
             ``(system, cache_hit)``.
         """
         cache_key = (key, fusion_key)
-        if self.system_cache_size <= 0:
-            return GlobalLinearSystem(channels, extra_terms=key), False
-        with self._system_cache_lock:
-            system = self._system_cache.get(cache_key)
-            if system is not None:
-                self._system_cache.move_to_end(cache_key)
-                self._system_cache_hits += 1
-                return system, True
-            self._system_cache_misses += 1
+        system = self._system_cache.get(cache_key)
+        if system is not None:
+            return system, True
         system = GlobalLinearSystem(channels, extra_terms=key)
-        with self._system_cache_lock:
-            self._system_cache[cache_key] = system
-            while len(self._system_cache) > self.system_cache_size:
-                self._system_cache.popitem(last=False)
-                self._system_cache_evictions += 1
+        self._system_cache.put(cache_key, system)
         return system, False
 
     def shared_partition(self) -> Tuple[list, list, bool]:
@@ -496,47 +473,31 @@ class QTurboCompiler:
         # while _strategies is still None (worst case both threads
         # compute, which is benign — the results are identical).
         if self._partition is None:
-            self._partition_misses += 1
+            self._partition_counters.add("misses")
             partition = list(partition_channels(self.aais.channels))
             strategies = [self._select_strategy(c) for c in partition]
             self._strategies = strategies
             self._partition = partition
             return self._partition, list(self._strategies), False
-        self._partition_hits += 1
+        self._partition_counters.add("hits")
         return self._partition, list(self._strategies), True
 
-    def system_cache_stats(self) -> Dict[str, int]:
-        """Counters of the cross-compile linear-system LRU cache.
+    def pass_cache_stats(self) -> Dict[str, Dict[str, object]]:
+        """Statistics of every pass-level structural cache.
 
-        ``hits``/``misses`` count lookups, ``size`` the systems
-        currently held, ``capacity`` the LRU cap, and ``evictions`` how
-        many systems the cap has pushed out — nonzero evictions under a
-        long sweep mean the cap (``system_cache_size``) is doing its
-        job of bounding memory.
-        """
-        return {
-            "hits": self._system_cache_hits,
-            "misses": self._system_cache_misses,
-            "size": len(self._system_cache),
-            "capacity": self.system_cache_size,
-            "evictions": self._system_cache_evictions,
-        }
-
-    def pass_cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss counters of every pass-level structural cache.
-
-        The ``build_linear_system`` pass is backed by the linear-system
-        LRU (see :meth:`system_cache_stats`); the ``partition`` pass by
-        the per-compiler partition memo.  With a snapshot store
-        configured, a ``snapshot`` bucket carries its statistics too
-        (see :meth:`~repro.core.pipeline.snapshot.SnapshotStore.stats`).
+        ``linear_system`` is the ``build_linear_system`` pass's LRU of
+        :class:`GlobalLinearSystem` instances, in the
+        :meth:`repro.store.LRUCache.stats` shape (``size``, ``maxsize``,
+        ``hits``, ``misses``, ``evictions``, ``hit_rate``) — nonzero
+        evictions under a long sweep mean the cap is bounding memory.
+        ``partition`` holds the ``partition`` pass memo's ``hits`` and
+        ``misses``.  With a snapshot store configured, a ``snapshot``
+        bucket carries its statistics too (see
+        :meth:`~repro.core.pipeline.snapshot.SnapshotStore.stats`).
         """
         stats = {
-            "linear_system": self.system_cache_stats(),
-            "partition": {
-                "hits": self._partition_hits,
-                "misses": self._partition_misses,
-            },
+            "linear_system": self._system_cache.stats(),
+            "partition": self._partition_counters.snapshot(),
         }
         if self._snapshots is not None:
             stats["snapshot"] = self._snapshots.stats()

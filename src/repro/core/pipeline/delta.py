@@ -154,9 +154,8 @@ def compiler_fingerprint(compiler) -> str:
     ``feasibility_growth``, ``max_feasibility_iters``,
     ``use_analytic_solvers``), the bounded linear solver, and the
     pipeline (pass names in run order plus the normalized passes
-    configuration).
-    ``system_cache_size`` is deliberately excluded — cache capacity
-    never changes what the compiler produces.
+    configuration).  Cache state is deliberately excluded — what the
+    in-memory caches hold never changes what the compiler produces.
 
     Parameters
     ----------

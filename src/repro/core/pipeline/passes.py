@@ -49,6 +49,7 @@ from repro.core.time_optimizer import optimize_evolution_time
 from repro.errors import CompilationError, InfeasibleError
 from repro.hamiltonian.pauli import PauliString
 from repro.pulse.schedule import PulseSchedule, PulseSegment, is_null_segment
+from repro.store import LRUCache
 
 __all__ = [
     "BuildLinearSystemPass",
@@ -718,15 +719,14 @@ class TermFusionPass(CompilerPass):
     name = "term_fusion"
     invalidation = ("structure",)
 
-    #: Plans are pure functions of (channels, targeted terms); channels
-    #: are fixed per compiler, so a small per-pass memo keyed on the
-    #: targeted term set makes repeat compilations skip the graph walk.
-    _PLAN_CACHE_SIZE = 32
-
     def __init__(self, tol: float = 1e-9):
         super().__init__()
         self.tol = float(tol)
-        self._plan_cache: "Dict[frozenset, Tuple[FusionPlan, tuple]]" = {}
+        # Plans are pure functions of (channels, targeted terms);
+        # channels are fixed per compiler, so a small per-pass LRU keyed
+        # on the targeted term set makes repeat compilations skip the
+        # graph walk.
+        self._plan_cache = LRUCache(32)
 
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Compute (or recall) and install the fusion plan for this target."""
@@ -747,9 +747,7 @@ class TermFusionPass(CompilerPass):
                 if c.name not in set(plan.pruned_channels)
             )
             cached = (plan, fused_channels)
-            if len(self._plan_cache) >= self._PLAN_CACHE_SIZE:
-                self._plan_cache.clear()
-            self._plan_cache[targeted] = cached
+            self._plan_cache.put(targeted, cached)
         plan, fused_channels = cached
         self.record(
             pruned_channels=len(plan.pruned_channels),

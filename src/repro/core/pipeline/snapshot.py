@@ -62,12 +62,12 @@ from __future__ import annotations
 import pickle
 import shutil
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.store import (
     Counters,
+    LRUCache,
     atomic_write,
     blob_digest,
     evict_oldest,
@@ -119,20 +119,12 @@ _LIVE_STORES_LOCK = threading.Lock()
 #: Process-wide memo of unpickled ``shared.pkl`` payloads, keyed
 #: ``(root, family, donor unit digest)``.  Module-level (not per store
 #: instance) because sweeps routinely open a fresh compiler — and with
-#: it a fresh store object — per point over the same on-disk root; the
-#: digest in the key makes a re-committed donor miss naturally.
-_SHARED_MEMO_CAP = 8
-_SHARED_MEMO: "OrderedDict[tuple, dict]" = OrderedDict()
-_SHARED_MEMO_LOCK = threading.Lock()
-
-
-def _forget_shared(root: str, family: Optional[str] = None) -> None:
-    """Drop memoized ``shared.pkl`` payloads of one root (or one family)."""
-    with _SHARED_MEMO_LOCK:
-        for key in [
-            k for k in _SHARED_MEMO if k[0] == root and family in (None, k[1])
-        ]:
-            del _SHARED_MEMO[key]
+#: it a fresh store object — per point over the same on-disk root.  It
+#: needs no invalidation: a re-committed donor with new content has a
+#: new unit digest, so it misses by construction (an equal digest means
+#: bit-identical blobs), and an evicted or cleared family returns None
+#: at :meth:`SnapshotStore.read_meta` before the memo is read.
+_SHARED_MEMO = LRUCache(8)
 
 
 class SnapshotStore:
@@ -251,11 +243,9 @@ class SnapshotStore:
         if meta is None:
             return None
         memo_key = (str(self.root), family, meta.get("unit"))
-        with _SHARED_MEMO_LOCK:
-            shared = _SHARED_MEMO.get(memo_key)
-            if shared is not None:
-                _SHARED_MEMO.move_to_end(memo_key)
-                return shared
+        shared = _SHARED_MEMO.get(memo_key)
+        if shared is not None:
+            return shared
         path = self.family_dir(family) / self.SHARED
         try:
             shared = pickle.loads(path.read_bytes())
@@ -265,10 +255,7 @@ class SnapshotStore:
         if not isinstance(shared, dict) or "system_key" not in shared:
             self._counters.add("invalid")
             return None
-        with _SHARED_MEMO_LOCK:
-            _SHARED_MEMO[memo_key] = shared
-            while len(_SHARED_MEMO) > _SHARED_MEMO_CAP:
-                _SHARED_MEMO.popitem(last=False)
+        _SHARED_MEMO.put(memo_key, shared)
         return shared
 
     # ------------------------------------------------------------------
@@ -307,15 +294,12 @@ class SnapshotStore:
         write_json(
             directory / self.META, {**meta, "blobs": manifest}, "snapshot.blob"
         )
-        # A fresh donor invalidates any memoized predecessor.
-        _forget_shared(str(self.root), family)
         self._counters.add("commits")
 
     def clear(self) -> None:
-        """Delete every family on disk and drop the in-process memo."""
+        """Delete every family on disk."""
         if self.root.exists():
             shutil.rmtree(self.root)
-        _forget_shared(str(self.root))
 
     # ------------------------------------------------------------------
     # Shared-store health and eviction
@@ -373,7 +357,6 @@ class SnapshotStore:
         except OSError:
             pass
         shutil.rmtree(directory, ignore_errors=True)
-        _forget_shared(str(self.root), family)
 
     def gc(
         self,
@@ -492,5 +475,4 @@ def reset_snapshot_stores() -> None:
     """Forget every live store (benchmark/test hygiene; disk untouched)."""
     with _LIVE_STORES_LOCK:
         _LIVE_STORES.clear()
-    with _SHARED_MEMO_LOCK:
-        _SHARED_MEMO.clear()
+    _SHARED_MEMO.clear()

@@ -55,7 +55,6 @@ _COMPILER_KNOBS = frozenset(
         "t_floor",
         "feasibility_growth",
         "max_feasibility_iters",
-        "system_cache_size",
         "passes",
         "snapshots",
     }

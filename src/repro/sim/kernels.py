@@ -50,7 +50,7 @@ from scipy.sparse.linalg import LinearOperator
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.pauli import PauliString
-from repro.sim.operators import MatrixCache
+from repro.store import LRUCache
 
 __all__ = [
     "HamiltonianKernel",
@@ -86,13 +86,13 @@ CHEBYSHEV_MIN_PHASE_SPAN = 12.0
 #: Bit-mask index arithmetic uses uint32 basis indices.
 _MAX_KERNEL_QUBITS = 31
 
-_sign_cache = MatrixCache(SIGN_CACHE_SIZE)
-_structure_cache = MatrixCache(STRUCTURE_CACHE_SIZE)
-_kernel_cache = MatrixCache(KERNEL_CACHE_SIZE)
+_sign_cache = LRUCache(SIGN_CACHE_SIZE)
+_structure_cache = LRUCache(STRUCTURE_CACHE_SIZE)
+_kernel_cache = LRUCache(KERNEL_CACHE_SIZE)
 
 #: Shared basis-index arrays (``np.arange(2^N)``), keyed on N.  Tiny
 #: entry count — each array is 4·2^N bytes and every term reuses it.
-_index_cache = MatrixCache(4)
+_index_cache = LRUCache(4)
 
 
 def _check_num_qubits(num_qubits: int) -> None:
@@ -747,5 +747,6 @@ def kernel_cache_stats() -> Dict[str, Dict[str, float]]:
         "sign": _sign_cache.stats(),
         "structure": _structure_cache.stats(),
         "kernel": _kernel_cache.stats(),
+        "index": _index_cache.stats(),
     }
 

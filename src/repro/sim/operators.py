@@ -9,8 +9,8 @@ Matrix construction is a hot path: every sparse-backend ``evolve*``
 call realizes its Hamiltonian, and batch workloads (:mod:`repro.batch`)
 compile and verify many structurally identical targets.  Pauli-string
 matrices and the CSC form of full Hamiltonians are therefore memoized
-in fixed-size, process-wide LRU caches keyed on the stable canonical
-keys of :meth:`repro.hamiltonian.pauli.PauliString.canonical_key` and
+in fixed-size, process-wide LRU caches (:class:`repro.store.LRUCache`)
+keyed on the stable canonical keys of :meth:`repro.hamiltonian.pauli.PauliString.canonical_key` and
 :meth:`repro.hamiltonian.expression.Hamiltonian.canonical_key`.  Cache
 statistics are exposed via :func:`operator_cache_stats` so benchmarks
 can report hit rates; :func:`repro.sim.propagators
@@ -19,8 +19,6 @@ can report hit rates; :func:`repro.sim.propagators
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -29,6 +27,7 @@ from scipy import sparse
 from repro.errors import SimulationError
 from repro.hamiltonian.expression import Hamiltonian
 from repro.hamiltonian.pauli import PauliString
+from repro.store import LRUCache
 
 __all__ = [
     "pauli_matrix",
@@ -36,7 +35,6 @@ __all__ = [
     "hamiltonian_matrix",
     "hamiltonian_matrix_csc",
     "number_operator_matrix",
-    "MatrixCache",
     "operator_cache_stats",
     "max_operator_qubits",
     "configure_operator_limits",
@@ -83,93 +81,8 @@ def configure_operator_limits(max_qubits: Optional[int] = None) -> None:
 STRING_CACHE_SIZE = 4096
 CSC_CACHE_SIZE = 512
 
-
-class MatrixCache:
-    """A small, thread-safe LRU cache with hit/miss/eviction statistics.
-
-    Values are treated as immutable by the cache; callers that hand
-    matrices out of the cache must copy them before exposing them to
-    mutation (see :func:`pauli_string_matrix`).  A lock guards every
-    lookup/insert because the thread batch executor shares this cache
-    across workers — an unguarded ``move_to_end`` can race a concurrent
-    eviction and raise ``KeyError``.
-
-    Values may be any immutable-by-convention object (sparse matrices,
-    dense ndarrays, state vectors); the simulation fast-path caches in
-    :mod:`repro.sim.propagators` reuse this class.
-    """
-
-    __slots__ = ("maxsize", "_data", "_lock", "hits", "misses", "evictions")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = int(maxsize)
-        self._data: "OrderedDict[object, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: object) -> Optional[object]:
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def peek(self, key: object) -> Optional[object]:
-        """Read a value without touching statistics or LRU order.
-
-        For probes that cannot be followed by a store (see
-        :func:`repro.sim.propagators.cached_propagator`) and must not
-        distort this cache's hit/miss accounting.
-        """
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: object, value: object) -> None:
-        if self.maxsize <= 0:
-            return
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries and reset the statistics."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": self.hit_rate,
-            }
-
-
-_string_cache = MatrixCache(STRING_CACHE_SIZE)
-_csc_cache = MatrixCache(CSC_CACHE_SIZE)
+_string_cache = LRUCache(STRING_CACHE_SIZE)
+_csc_cache = LRUCache(CSC_CACHE_SIZE)
 
 
 def operator_cache_stats() -> Dict[str, Dict[str, float]]:

@@ -17,8 +17,9 @@ Krylov solver (:func:`scipy.sparse.linalg.expm_multiply`):
   segments across shots, stretch factors, and batch jobs collapse to a
   single matmul.
 
-All caches reuse the thread-safe LRU of :class:`repro.sim.operators
-.MatrixCache` at fixed sizes, and the backend-selection thresholds are
+Every cache is a fixed-size :class:`repro.store.LRUCache` (so all
+report one stats shape) and the fast-path column counts are one
+:class:`repro.store.Counters`; the backend-selection thresholds are
 fixed constants too.  Only the two settings that depend on the host's
 memory are adjustable: :func:`configure_simulation_caches`
 (``memory_budget_bytes``) and :func:`repro.sim.operators
@@ -30,7 +31,6 @@ empties them all.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,12 +41,8 @@ from repro.hamiltonian.expression import Hamiltonian
 import repro.sim.kernels as _kernels
 import repro.sim.operators as _operators
 from repro.sim.kernels import DEFAULT_MAX_KRYLOV_DIM, kernel_cache_stats
-from repro.sim.operators import (
-    _SINGLE,
-    MatrixCache,
-    _check_size,
-    max_operator_qubits,
-)
+from repro.sim.operators import _SINGLE, _check_size, max_operator_qubits
+from repro.store import Counters, LRUCache
 
 __all__ = [
     "is_diagonal_hamiltonian",
@@ -106,9 +102,9 @@ MATRIX_FREE_MAX_COLUMNS = 32
 #: The selectable evolution backends (``auto`` resolves per segment).
 BACKEND_NAMES = ("auto", "dense", "sparse", "matrix_free")
 
-_propagator_cache = MatrixCache(PROPAGATOR_CACHE_SIZE)
-_diagonal_cache = MatrixCache(DIAGONAL_CACHE_SIZE)
-_dense_string_cache = MatrixCache(DENSE_STRING_CACHE_SIZE)
+_propagator_cache = LRUCache(PROPAGATOR_CACHE_SIZE)
+_diagonal_cache = LRUCache(DIAGONAL_CACHE_SIZE)
+_dense_string_cache = LRUCache(DENSE_STRING_CACHE_SIZE)
 
 #: The thresholds :func:`select_backend` reads, reported by
 #: :func:`simulation_cache_stats`; only the memory budget is settable.
@@ -121,43 +117,15 @@ _limits = {
 }
 
 
-class _FastPathCounters:
-    """How many state columns went through each evolution path."""
-
-    __slots__ = ("_lock", "_counts")
-
-    _NAMES = (
-        "diagonal",
-        "propagator",
-        "dense_build",
-        "krylov",
-        "matrix_free",
-    )
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counts = {name: 0 for name in self._NAMES}
-
-    def record(self, name: str, columns: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += int(columns)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self._NAMES:
-                self._counts[name] = 0
-
-
-_counters = _FastPathCounters()
+#: How many state columns went through each evolution path.
+_counters = Counters(
+    ("diagonal", "propagator", "dense_build", "krylov", "matrix_free")
+)
 
 
 def record_fast_path(name: str, columns: int = 1) -> None:
     """Count ``columns`` state columns evolved through path ``name``."""
-    _counters.record(name, columns)
+    _counters.add(name, int(columns))
 
 
 def propagator_max_qubits() -> int:
@@ -462,7 +430,7 @@ def simulation_cache_stats() -> Dict[str, object]:
     matmul), ``dense_build`` (freshly exponentiated dense batch),
     ``krylov`` (sparse ``expm_multiply``) and ``matrix_free`` (Pauli
     kernels + Lanczos).  ``kernel`` nests the matrix-free sign /
-    structure / kernel cache counters.
+    structure / kernel / index cache counters.
     """
     return {
         "propagator": _propagator_cache.stats(),

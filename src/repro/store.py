@@ -1,4 +1,4 @@
-"""The on-disk store primitive every persistent store is built on.
+"""The store primitives every cache and persistent store is built on.
 
 :class:`~repro.experiments.store.ArtifactStore` (experiment runs),
 :class:`~repro.core.pipeline.snapshot.SnapshotStore` (compile families)
@@ -18,6 +18,13 @@ one module:
 * **Counters** are a locked dict of named integers; stats aggregate
   with :func:`merge_counters`.
 
+Every *in-memory* memo is an :class:`LRUCache` — the simulator's
+operator, propagator and kernel caches, the compiler's linear-system
+cache, the batch layer's compiler and ideal-state memos, the snapshot
+store's ``shared.pkl`` memo and the ``term_fusion`` plan memo — so each
+reports one stats shape: ``size``, ``maxsize``, ``hits``, ``misses``,
+``evictions`` and ``hit_rate``.
+
 This module imports only the stdlib and :mod:`repro.testing.faults`, so
 the compiler core can use it without importing higher layers.
 """
@@ -28,6 +35,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -35,6 +43,7 @@ from repro.testing.faults import fault_point
 
 __all__ = [
     "Counters",
+    "LRUCache",
     "atomic_write",
     "blob_digest",
     "evict_oldest",
@@ -153,6 +162,96 @@ class Counters:
         """A consistent copy of every counter."""
         with self._lock:
             return dict(self._values)
+
+    def reset(self) -> None:
+        """Zero every counter."""
+        with self._lock:
+            self._values = dict.fromkeys(self._values, 0)
+
+
+class LRUCache:
+    """A small, thread-safe LRU cache with hit/miss/eviction statistics.
+
+    Values are treated as immutable by the cache; callers that hand
+    values out of the cache must copy them before exposing them to
+    mutation (see :func:`repro.sim.operators.pauli_string_matrix`).  A
+    lock guards every lookup/insert because the thread batch executor
+    shares caches across workers — an unguarded ``move_to_end`` can
+    race a concurrent eviction and raise ``KeyError``.  A ``maxsize``
+    of 0 stores nothing: every lookup misses.
+    """
+
+    __slots__ = ("maxsize", "_data", "_lock", "hits", "misses", "evictions")
+
+    def __init__(self, maxsize: int):
+        self.maxsize = int(maxsize)
+        self._data: "OrderedDict[object, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key: object) -> Optional[object]:
+        """The value stored under ``key`` (None on a miss); counts the lookup."""
+        with self._lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def peek(self, key: object) -> Optional[object]:
+        """Read a value without touching statistics or LRU order.
+
+        For probes that cannot be followed by a store (see
+        :func:`repro.sim.propagators.cached_propagator`) and must not
+        distort this cache's hit/miss accounting.
+        """
+        with self._lock:
+            return self._data.get(key)
+
+    def put(self, key: object, value: object) -> None:
+        """Store ``value`` as most recent, evicting the least recent past ``maxsize``."""
+        if self.maxsize <= 0:
+            return
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop all entries and reset the statistics."""
+        with self._lock:
+            self._data.clear()
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over lookups (0.0 before the first lookup)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def stats(self) -> Dict[str, float]:
+        """``size``, ``maxsize``, ``hits``, ``misses``, ``evictions``, ``hit_rate``."""
+        with self._lock:
+            return {
+                "size": len(self._data),
+                "maxsize": self.maxsize,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": self.hit_rate,
+            }
 
 
 def merge_counters(bucket: Dict, counters: Dict) -> None:

@@ -232,6 +232,10 @@ class TestCompilerPassesSection:
         with pytest.raises(ExperimentError, match="unknown compiler pass"):
             _spec(compiler={"passes": {"enable": ["bogus"]}})
 
+    def test_system_cache_size_is_not_a_knob(self):
+        with pytest.raises(ExperimentError, match="unknown key"):
+            _spec(compiler={"system_cache_size": 4})
+
     def test_bad_order_fails_at_load_time(self):
         with pytest.raises(ExperimentError, match="must run before"):
             _spec(

@@ -30,12 +30,12 @@ from repro.sim import (
 from repro.sim import propagators
 from repro.sim.kernels import HamiltonianKernel, chebyshev_expm_multiply
 from repro.sim.operators import (
-    MatrixCache,
     configure_operator_limits,
     hamiltonian_matrix,
     max_operator_qubits,
     pauli_string_matrix,
 )
+from repro.store import LRUCache
 from repro.testing.reference import PerRealizationSimulator
 
 ATOL = 1e-10
@@ -305,7 +305,7 @@ class TestPropagatorCacheEviction:
     def test_block_evolution_at_dense_cutoff_evicts(self, monkeypatch):
         """A tiny propagator cache under block evolution must evict, not
         grow — and keep producing correct states while doing so."""
-        monkeypatch.setattr(propagators, "_propagator_cache", MatrixCache(2))
+        monkeypatch.setattr(propagators, "_propagator_cache", LRUCache(2))
         rng = np.random.default_rng(31)
         n = 3
         hams = [random_hamiltonian(rng, n) for _ in range(5)]
@@ -319,7 +319,7 @@ class TestPropagatorCacheEviction:
             assert np.allclose(out[:, i], reference, atol=ATOL)
 
     def test_eviction_keeps_most_recent_entries_hittable(self, monkeypatch):
-        monkeypatch.setattr(propagators, "_propagator_cache", MatrixCache(1))
+        monkeypatch.setattr(propagators, "_propagator_cache", LRUCache(1))
         rng = np.random.default_rng(32)
         n = 3
         h = random_hamiltonian(rng, n)
@@ -387,7 +387,7 @@ class TestKernelCaches:
 
     def test_stats_surface_through_simulation_cache_stats(self):
         stats = simulation_cache_stats()
-        assert set(stats["kernel"]) == {"sign", "structure", "kernel"}
+        assert set(stats["kernel"]) == {"sign", "structure", "kernel", "index"}
         assert "memory_budget_bytes" in stats["limits"]
         assert "matrix_free" in stats["fast_paths"]
 

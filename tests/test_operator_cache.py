@@ -12,13 +12,13 @@ from repro.hamiltonian.expression import x, z, zz
 from repro.models import ising_chain
 from repro.sim import operators
 from repro.sim.operators import (
-    MatrixCache,
     hamiltonian_matrix,
     hamiltonian_matrix_csc,
     operator_cache_stats,
     pauli_string_matrix,
 )
 from repro.sim.propagators import clear_simulation_caches
+from repro.store import LRUCache
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +123,7 @@ class TestHashStability:
 
 class TestEviction:
     def test_lru_eviction_counts(self, monkeypatch):
-        monkeypatch.setattr(operators, "_csc_cache", MatrixCache(2))
+        monkeypatch.setattr(operators, "_csc_cache", LRUCache(2))
         hamiltonian_matrix_csc(z(0), 1)
         hamiltonian_matrix_csc(x(0), 1)
         hamiltonian_matrix_csc(z(0) + x(0), 1)  # evicts z(0)
@@ -133,22 +133,6 @@ class TestEviction:
         hamiltonian_matrix_csc(z(0), 1)  # must rebuild
         assert operator_cache_stats()["hamiltonian_csc"]["misses"] == 4
 
-    def test_zero_capacity_disables_storage(self):
-        cache = MatrixCache(0)
-        cache.put("key", "value")
-        assert len(cache) == 0
-        assert cache.get("key") is None
-
-    def test_matrix_cache_lru_order(self):
-        cache = MatrixCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a
-        cache.put("c", 3)  # evicts b, not a
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
 
 class TestCompilerStructuralCache:
     def test_repeat_compiles_reuse_linear_system(self):
@@ -157,7 +141,7 @@ class TestCompilerStructuralCache:
         target = ising_chain(3)
         first = compiler.compile(target, 1.0)
         second = compiler.compile(target, 2.0)  # same structure, new time
-        stats = compiler.system_cache_stats()
+        stats = compiler.pass_cache_stats()["linear_system"]
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert first.success and second.success
@@ -165,7 +149,7 @@ class TestCompilerStructuralCache:
     def test_cached_system_gives_identical_results(self):
         aais = RydbergAAIS(3, spec=paper_example_spec())
         compiler = QTurboCompiler(aais)
-        fresh = QTurboCompiler(aais, system_cache_size=0)
+        fresh = QTurboCompiler(aais)  # its one compile runs uncached
         target = ising_chain(3)
         compiler.compile(target, 1.0)  # warm the cache
         warm = compiler.compile(target, 1.0)
@@ -178,6 +162,6 @@ class TestCompilerStructuralCache:
         compiler = QTurboCompiler(aais)
         compiler.compile(ising_chain(3), 1.0)
         compiler.compile(Hamiltonian({PauliString.single("X", 0): 1.0}), 1.0)
-        stats = compiler.system_cache_stats()
+        stats = compiler.pass_cache_stats()["linear_system"]
         assert stats["misses"] == 2
         assert stats["size"] == 2

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+import repro.core.compiler as compiler_module
 from repro.aais import HeisenbergAAIS, RydbergAAIS
 from repro.aais.base import AAIS, Instruction
 from repro.aais.channels import ScaledVariableChannel
@@ -208,42 +212,33 @@ class TestTraceAndTimings:
 
 
 class TestSystemCacheLRU:
+    @pytest.fixture(autouse=True)
+    def cap_of_two(self, monkeypatch):
+        monkeypatch.setattr(compiler_module, "SYSTEM_CACHE_SIZE", 2)
+
     def test_eviction_counter_and_capacity(self):
         aais = RydbergAAIS(3, spec=paper_example_spec())
-        compiler = QTurboCompiler(aais, system_cache_size=2)
+        compiler = QTurboCompiler(aais)
         compiler.compile(parse_hamiltonian("X0"), 1.0)
         compiler.compile(parse_hamiltonian("X1"), 1.0)
         compiler.compile(parse_hamiltonian("Z0"), 1.0)
-        stats = compiler.system_cache_stats()
-        assert stats["capacity"] == 2
+        stats = compiler.pass_cache_stats()["linear_system"]
+        assert stats["maxsize"] == 2
         assert stats["size"] == 2
         assert stats["misses"] == 3
         assert stats["evictions"] == 1
 
     def test_lru_keeps_recently_used(self):
         aais = RydbergAAIS(3, spec=paper_example_spec())
-        compiler = QTurboCompiler(aais, system_cache_size=2)
+        compiler = QTurboCompiler(aais)
         compiler.compile(parse_hamiltonian("X0"), 1.0)
         compiler.compile(parse_hamiltonian("X1"), 1.0)
         compiler.compile(parse_hamiltonian("X0"), 2.0)  # refresh X0
         compiler.compile(parse_hamiltonian("Z0"), 1.0)  # evicts X1
         compiler.compile(parse_hamiltonian("X0"), 3.0)  # still cached
-        stats = compiler.system_cache_stats()
+        stats = compiler.pass_cache_stats()["linear_system"]
         assert stats["hits"] == 2
         assert stats["evictions"] == 1
-
-    def test_disabled_cache_reports_zero_capacity(self):
-        aais = HeisenbergAAIS(2)
-        compiler = QTurboCompiler(aais, system_cache_size=0)
-        compiler.compile(ising_chain(2), 1.0)
-        stats = compiler.system_cache_stats()
-        assert stats == {
-            "hits": 0,
-            "misses": 0,
-            "size": 0,
-            "capacity": 0,
-            "evictions": 0,
-        }
 
     def test_pass_cache_stats_shape(self):
         aais = HeisenbergAAIS(2)
@@ -253,6 +248,28 @@ class TestSystemCacheLRU:
         stats = compiler.pass_cache_stats()
         assert stats["linear_system"]["hits"] == 1
         assert stats["partition"] == {"hits": 1, "misses": 1}
+
+    def test_partition_counters_survive_a_thread_storm(self):
+        compiler = QTurboCompiler(HeisenbergAAIS(2))
+        threads, calls = 8, 500
+
+        def hammer():
+            for _ in range(calls):
+                compiler.shared_partition()
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counts = compiler.pass_cache_stats()["partition"]
+        assert counts["hits"] + counts["misses"] == threads * calls
 
 
 class TestTermFusionPass:
@@ -399,6 +416,39 @@ class TestBatchPassCacheStats:
         assert stats["linear_system"]["hits"] == 2
         assert stats["linear_system"]["misses"] == 1
         assert stats["partition"]["hits"] == 2
+        reset_worker_compilers()
+
+    def test_merged_hit_rate_is_recomputed(self):
+        from repro.batch import BatchCompiler, BatchJob, pass_cache_stats
+        from repro.batch.compiler import reset_worker_compilers
+
+        reset_worker_compilers()
+        empty = pass_cache_stats()
+        assert empty["compilers"] == 0
+        assert empty["linear_system"] == {
+            "size": 0,
+            "maxsize": 0,
+            "hits": 0,
+            "misses": 0,
+            "evictions": 0,
+            "hit_rate": 0.0,
+        }
+        assert empty["partition"] == {"hits": 0, "misses": 0}
+
+        # Two worker compilers at hit rates 2/3 and 1/2: their sum
+        # exceeds 1, the pooled rate is 3 hits over 5 lookups.
+        jobs = [
+            BatchJob.constant(f"a-{k}", ising_chain(3), 1.0, HeisenbergAAIS(3))
+            for k in range(3)
+        ] + [
+            BatchJob.constant(f"b-{k}", ising_chain(2), 1.0, HeisenbergAAIS(2))
+            for k in range(2)
+        ]
+        BatchCompiler(executor="serial").compile_many(jobs)
+        system = pass_cache_stats()["linear_system"]
+        assert pass_cache_stats()["compilers"] == 2
+        assert (system["hits"], system["misses"]) == (3, 2)
+        assert system["hit_rate"] == pytest.approx(0.6)
         reset_worker_compilers()
 
 

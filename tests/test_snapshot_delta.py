@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+import repro.core.compiler as compiler_module
 from repro.aais import aais_for_device
 from repro.batch import BatchCompiler, BatchJob
 from repro.batch.compiler import pass_cache_stats, reset_worker_compilers
@@ -231,7 +232,7 @@ class TestIncrementalCompiler:
         compiler = QTurboCompiler(_aais(), snapshots=str(store_dir))
         result = compiler.compile_piecewise(_piecewise(j=0.8))
         assert result.success and result.incremental is None
-        stats = compiler.snapshot_stats()
+        stats = compiler.pass_cache_stats()["snapshot"]
         assert stats["invalid"] >= 1
         assert stats["commits"] == 1  # the fallback re-committed
         # The re-committed donor serves the next delta normally.
@@ -275,7 +276,40 @@ class TestIncrementalCompiler:
         assert stats["hits_delta"] == 1
         assert stats["reentry"] == {"build_linear_system": 1}
         assert stats["disk"]["families"] == 1
-        assert QTurboCompiler(_aais()).snapshot_stats() is None
+        assert "snapshot" not in QTurboCompiler(_aais()).pass_cache_stats()
+
+    def test_seeded_system_cache_stays_bounded(self, tmp_path, monkeypatch):
+        """Delta compiles seed the linear-system cache through its LRU:
+        on delta-only traffic over more families than the cap, the
+        cache evicts instead of growing, and results stay cold-exact."""
+        monkeypatch.setattr(compiler_module, "SYSTEM_CACHE_SIZE", 2)
+        store = str(tmp_path / "snaps")
+
+        def target(fields, j):
+            hamiltonian = j * zz(0, 1) + j * zz(1, 2)
+            for qubit in fields:
+                hamiltonian = hamiltonian + 0.3 * x(qubit)
+            return PiecewiseHamiltonian.constant(hamiltonian, 1.0)
+
+        families = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)]
+        donor = QTurboCompiler(_aais(), snapshots=store)
+        for fields in families:
+            assert donor.compile_piecewise(target(fields, 0.5)).success
+
+        compiler = QTurboCompiler(_aais(), snapshots=store)
+        for fields in families:
+            delta = compiler.compile_piecewise(target(fields, 0.8))
+            assert delta.incremental["mode"] == "delta"
+            cold = QTurboCompiler(_aais()).compile_piecewise(
+                target(fields, 0.8)
+            )
+            assert delta.schedule.to_dict() == cold.schedule.to_dict()
+        stats = compiler.pass_cache_stats()["linear_system"]
+        assert stats["size"] <= 2
+        assert stats["evictions"] > 0
+        # Seeding counts nothing; each delta then hits its seeded system.
+        assert stats["hits"] == len(families)
+        assert stats["misses"] == 0
 
     def test_snapshot_cache_stats_aggregates(self, tmp_path):
         compiler = QTurboCompiler(

@@ -1,11 +1,11 @@
-"""Tests for the shared on-disk store primitive (:mod:`repro.store`).
+"""Tests for the shared store primitives (:mod:`repro.store`).
 
-Covers the primitive itself (forgiving JSON reads, oldest-first
-eviction) and the behaviours the stores built on it must keep: a
-same-process thread storm on one snapshot family never fails a commit
-or tears a blob, a family without an integrity manifest is degraded,
-and a service result written under another bounded solver is never
-served.
+Covers the primitives themselves (forgiving JSON reads, oldest-first
+eviction, the in-memory LRU, counters) and the behaviours the stores
+built on them must keep: a same-process thread storm on one snapshot
+family never fails a commit or tears a blob, a family without an
+integrity manifest is degraded, and a service result written under
+another bounded solver is never served.
 """
 
 import os
@@ -17,7 +17,7 @@ import pytest
 from repro.core import linear_system
 from repro.core.pipeline.snapshot import SnapshotStore
 from repro.service import ResultStore, job_digest
-from repro.store import evict_oldest, read_json, write_json
+from repro.store import Counters, LRUCache, evict_oldest, read_json, write_json
 
 
 # ----------------------------------------------------------------------
@@ -56,6 +56,32 @@ def test_evict_oldest_respects_both_caps_and_skips_failures():
     outcome = evict_oldest(entries, evict, max_bytes=15)
     assert evicted == ["a", "c", "d"]
     assert outcome == {"evicted": 3, "kept": 0, "bytes_kept": 10}
+
+
+class TestLRUCache:
+    def test_zero_capacity_disables_storage(self):
+        cache = LRUCache(0)
+        cache.put("key", "value")
+        assert len(cache) == 0
+        assert cache.get("key") is None
+
+    def test_lru_order(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refresh a
+        cache.put("c", 3)  # evicts b, not a
+        assert cache.get("b") is None
+        assert cache.get("a") == 1
+        assert cache.get("c") == 3
+
+
+def test_counters_reset_zeroes_every_name():
+    counters = Counters(("hits", "misses"))
+    counters.add("hits", 3)
+    counters.add("extra")
+    counters.reset()
+    assert counters.snapshot() == {"hits": 0, "misses": 0, "extra": 0}
 
 
 # ----------------------------------------------------------------------
