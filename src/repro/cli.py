@@ -8,10 +8,10 @@ Commands
     the per-pass trace table (wall time, cache hits, diagnostics);
     ``--explain --at-pass NAME`` additionally dumps the intermediate
     compilation state as it stood right after that pass ran (see
-    ``docs/compilation.md``); ``--enable-pass``/``--disable-pass``
-    toggle optional pipeline passes such as ``term_fusion`` and
-    ``schedule_compaction``; ``--snapshot-dir`` enables incremental
-    delta-compilation against an on-disk snapshot store.
+    ``docs/compilation.md``); ``--enable-pass`` adds an optional
+    pipeline pass such as ``term_fusion`` or ``schedule_compaction``;
+    ``--no-refine`` skips the L1 refinement; ``--snapshot-dir`` enables
+    incremental delta-compilation against an on-disk snapshot store.
 ``models``
     List the registered benchmark models.
 ``compare``
@@ -71,6 +71,14 @@ from repro.sim.propagators import BACKEND_NAMES, simulation_cache_stats
 __all__ = ["main", "build_parser"]
 
 
+def _removed_disable_pass(value: str) -> str:
+    """Reject the removed ``--disable-pass`` flag, naming its replacement."""
+    raise argparse.ArgumentTypeError(
+        "was removed: use --no-refine to skip the L1 refinement; optional "
+        "passes run only with --enable-pass, and the pass order is fixed"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -99,11 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule_compaction); repeatable",
     )
     compile_cmd.add_argument(
-        "--disable-pass",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="disable a pipeline pass (e.g. refinement); repeatable",
+        "--disable-pass", type=_removed_disable_pass, help=argparse.SUPPRESS
     )
     compile_cmd.add_argument(
         "--at-pass",
@@ -488,8 +492,6 @@ def _command_compile(args: argparse.Namespace) -> int:
     passes = {}
     if args.enable_pass:
         passes["enable"] = list(args.enable_pass)
-    if args.disable_pass:
-        passes["disable"] = list(args.disable_pass)
     compiler = QTurboCompiler(
         aais,
         refine=not args.no_refine,

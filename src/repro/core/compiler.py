@@ -9,7 +9,9 @@ Compilation stages, per Figure 1:
 3. **Evolution-time optimization** (Section 5.1) — the bottleneck
    component at maximum amplitude sets T_sim.
 4. **Runtime-fixed solve** (Section 5.2) — atom positions, with an
-   iterative time-stretch loop when hardware spacing constraints bite.
+   iterative time-stretch loop when hardware spacing constraints bite
+   (fixed constants ``FEASIBILITY_GROWTH`` and ``MAX_FEASIBILITY_ITERS``
+   in :mod:`repro.core.pipeline.passes`).
 5. **Refinement** (Section 6.2) — re-solve the dynamic synthesized
    variables to absorb the fixed-channel residual (L1 minimization).
 
@@ -54,7 +56,6 @@ from repro.core.pipeline.registry import (
 from repro.core.pipeline.snapshot import SnapshotStore
 from repro.core.pipeline.unit import CompilationUnit
 from repro.core.result import CompilationResult, StageTimings
-from repro.core.time_optimizer import MIN_TIME_FLOOR
 from repro.errors import CompilationError, InfeasibleError
 from repro.store import Counters, LRUCache
 from repro.testing.faults import fault_point
@@ -92,24 +93,20 @@ class QTurboCompiler:
     aais:
         The simulator's instruction set.
     refine:
-        Run the Section-6.2 refinement pass (default True).
-    t_floor:
-        Minimum evolution time per segment (µs).
-    feasibility_growth:
-        Factor by which the evolution time is stretched when the
-        runtime-fixed solve violates hardware constraints.
-    max_feasibility_iters:
-        Cap on stretch iterations before giving up.
+        Run the Section-6.2 L1 refinement (default True); False is the
+        only way to switch it off.
     use_analytic_solvers:
         When False, every local system is solved by the generic bounded
         least-squares fallback instead of the closed-form strategies —
         an ablation knob for measuring what the analytic solvers buy.
     passes:
         Pipeline configuration: None for the default pipeline, a
-        mapping with ``enable``/``disable``/``order`` lists of pass
-        names (see :data:`repro.core.pipeline.PASS_REGISTRY`), the
-        hashable pair form of such a mapping, or a prebuilt
-        :class:`~repro.core.pipeline.manager.PassManager`.
+        mapping ``{"enable": [...]}`` naming optional passes (see
+        :data:`repro.core.pipeline.OPTIONAL_PASSES`; each runs at its
+        fixed slot, so the pass order is not configurable), the hashable
+        pair form of such a mapping, or a prebuilt
+        :class:`~repro.core.pipeline.manager.PassManager` (for custom
+        passes).
     snapshots:
         Incremental-compilation store: None (default) disables it, a
         directory path (or an existing
@@ -128,20 +125,12 @@ class QTurboCompiler:
         self,
         aais: AAIS,
         refine: bool = True,
-        t_floor: float = MIN_TIME_FLOOR,
-        feasibility_growth: float = 1.15,
-        max_feasibility_iters: int = 25,
         use_analytic_solvers: bool = True,
         passes=None,
         snapshots=None,
     ):
-        if feasibility_growth <= 1.0:
-            raise CompilationError("feasibility_growth must exceed 1")
         self.aais = aais
         self.refine = refine
-        self.t_floor = float(t_floor)
-        self.feasibility_growth = float(feasibility_growth)
-        self.max_feasibility_iters = int(max_feasibility_iters)
         self.use_analytic_solvers = bool(use_analytic_solvers)
         if isinstance(passes, PassManager):
             self.pipeline_config = None

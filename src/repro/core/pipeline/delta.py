@@ -38,6 +38,8 @@ import weakref
 from typing import Dict, List, Sequence
 
 from repro.core.linear_system import BOUNDED_SOLVER
+from repro.core.pipeline import passes as _passes
+from repro.core.time_optimizer import MIN_TIME_FLOOR
 from repro.hamiltonian.time_dependent import PiecewiseHamiltonian
 
 __all__ = [
@@ -149,12 +151,14 @@ def _aais_digest(aais) -> str:
 def compiler_fingerprint(compiler) -> str:
     """Digest of everything about a compiler that can change its output.
 
-    Covers the AAIS (by content, via its pickle form), every
-    result-affecting knob (``refine``, ``t_floor``,
-    ``feasibility_growth``, ``max_feasibility_iters``,
-    ``use_analytic_solvers``), the bounded linear solver, and the
-    pipeline (pass names in run order plus the normalized passes
-    configuration).  Cache state is deliberately excluded — what the
+    Covers the AAIS (by content, via its pickle form), both
+    result-affecting knobs (``refine``, ``use_analytic_solvers``), the
+    fixed evolution-time floor and time-stretch constants (still named
+    ``t_floor``, ``growth`` and ``max_iters`` in the payload, so family
+    names predating their removal as knobs stay valid), the bounded
+    linear solver, and the pipeline (pass names in run order plus the
+    canonical ``passes`` configuration, which has one spelling per
+    pipeline).  Cache state is deliberately excluded — what the
     in-memory caches hold never changes what the compiler produces.
 
     Parameters
@@ -174,9 +178,9 @@ def compiler_fingerprint(compiler) -> str:
         (
             aais_digest,
             f"refine={compiler.refine}",
-            f"t_floor={compiler.t_floor!r}",
-            f"growth={compiler.feasibility_growth!r}",
-            f"max_iters={compiler.max_feasibility_iters}",
+            f"t_floor={MIN_TIME_FLOOR!r}",
+            f"growth={_passes.FEASIBILITY_GROWTH!r}",
+            f"max_iters={_passes.MAX_FEASIBILITY_ITERS}",
             f"analytic={compiler.use_analytic_solvers}",
             f"linear_solve={BOUNDED_SOLVER}",
             f"passes={','.join(compiler.pass_names)}",

@@ -10,12 +10,14 @@ pass that raises, so an infeasibility surfaced midway still leaves a
 usable trace.
 
 Passes receive a *context* — in practice the owning
-:class:`~repro.core.compiler.QTurboCompiler` — which carries the
-compiler knobs (``t_floor``, ``feasibility_growth``, …) and the
+:class:`~repro.core.compiler.QTurboCompiler` — which carries the AAIS,
+the compiler knobs (``refine``, ``use_analytic_solvers``) and the
 cross-compile structural caches (shared linear system, shared
-partition).  Keeping the caches on the context means a pass never owns
-mutable cross-compile state: pipelines stay cheap to build and safe to
-swap per call.
+partition).  Numeric settings that are not knobs (the evolution-time
+floor, the time-stretch factor and cap) are module constants the
+passes read directly.  Keeping the caches on the context means a pass
+never owns mutable cross-compile state: pipelines stay cheap to build
+and safe to swap per call.
 """
 
 from __future__ import annotations

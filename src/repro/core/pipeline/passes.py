@@ -45,7 +45,7 @@ from repro.core.pipeline.manager import CompilerPass
 from repro.core.pipeline.unit import CompilationUnit
 from repro.core.refinement import refine_dynamic_alphas
 from repro.core.result import SegmentSolution
-from repro.core.time_optimizer import optimize_evolution_time
+from repro.core.time_optimizer import MIN_TIME_FLOOR, optimize_evolution_time
 from repro.errors import CompilationError, InfeasibleError
 from repro.hamiltonian.pauli import PauliString
 from repro.pulse.schedule import PulseSchedule, PulseSegment, is_null_segment
@@ -62,9 +62,20 @@ __all__ = [
     "ScheduleCompactionPass",
     "FusionPlan",
     "linear_system_key",
+    "FEASIBILITY_GROWTH",
+    "MAX_FEASIBILITY_ITERS",
 ]
 
 _ZERO = 1e-12
+
+#: Factor by which :class:`FixedSolvePass` stretches the anchor
+#: segment's evolution time when the runtime-fixed solve violates
+#: hardware constraints (§5.2).
+FEASIBILITY_GROWTH = 1.15
+
+#: Stretches :class:`FixedSolvePass` tries before reporting the target
+#: infeasible.
+MAX_FEASIBILITY_ITERS = 25
 
 
 # ----------------------------------------------------------------------
@@ -73,13 +84,11 @@ _ZERO = 1e-12
 def _bottleneck_time(
     strategies: Sequence[LocalSolverStrategy],
     alphas: Mapping[str, float],
-    t_floor: float,
 ) -> float:
     """The slowest component's minimum feasible time (§5.1)."""
     if not strategies:
-        return t_floor
-    outcome = optimize_evolution_time(strategies, alphas, t_floor=t_floor)
-    return outcome.t_sim
+        return MIN_TIME_FLOOR
+    return optimize_evolution_time(strategies, alphas).t_sim
 
 
 def _anchor_segment(
@@ -110,13 +119,11 @@ def _solve_fixed(
     fixed_strategies: Sequence[LocalSolverStrategy],
     alphas: Mapping[str, float],
     t_anchor: float,
-    feasibility_growth: float,
-    max_feasibility_iters: int,
 ) -> Tuple[Dict[str, float], Dict[int, LocalSolution], int, List[str]]:
     """Solve fixed components, stretching time until feasible (§5.2)."""
     t_current = t_anchor
     last_solutions: Dict[int, LocalSolution] = {}
-    for iteration in range(max_feasibility_iters + 1):
+    for iteration in range(MAX_FEASIBILITY_ITERS + 1):
         values: Dict[str, float] = {}
         solutions: Dict[int, LocalSolution] = {}
         feasible = True
@@ -133,7 +140,7 @@ def _solve_fixed(
         last_solutions = solutions
         if feasible:
             return values, solutions, iteration, []
-        t_current *= feasibility_growth
+        t_current *= FEASIBILITY_GROWTH
     problems = [
         problem
         for solution in last_solutions.values()
@@ -141,7 +148,7 @@ def _solve_fixed(
     ]
     raise InfeasibleError(
         "runtime-fixed variables violate hardware constraints even "
-        f"after {max_feasibility_iters} time stretches: "
+        f"after {MAX_FEASIBILITY_ITERS} time stretches: "
         + "; ".join(problems[:5])
     )
 
@@ -151,7 +158,6 @@ def _segment_time(
     fixed_solutions: Mapping[int, LocalSolution],
     alphas: Mapping[str, float],
     t_dynamic: float,
-    t_floor: float,
 ) -> float:
     """Final evolution time of a segment.
 
@@ -168,7 +174,7 @@ def _segment_time(
             numerator += expr * alphas[name]
             denominator += expr * expr
     t_fit = numerator / denominator if denominator > _ZERO else 0.0
-    return max(t_dynamic, t_fit, t_floor)
+    return max(t_dynamic, t_fit, MIN_TIME_FLOOR)
 
 
 def _linear_residual(
@@ -324,19 +330,15 @@ class TimeOptimizationPass(CompilerPass):
     def run(self, unit: CompilationUnit, context) -> CompilationUnit:
         """Compute dynamic-only and all-component bottleneck times."""
         solutions = unit.require("linear_solutions", self.name)
-        t_floor = context.t_floor
         unit.t_dynamic = [
-            _bottleneck_time(unit.dynamic_strategies, sol.alphas, t_floor)
+            _bottleneck_time(unit.dynamic_strategies, sol.alphas)
             for sol in solutions
         ]
         unit.t_all = [
-            max(
-                t_dyn,
-                _bottleneck_time(unit.fixed_strategies, sol.alphas, t_floor),
-            )
+            max(t_dyn, _bottleneck_time(unit.fixed_strategies, sol.alphas))
             for t_dyn, sol in zip(unit.t_dynamic, solutions)
         ]
-        self.record(t_bottleneck=max(unit.t_all, default=t_floor))
+        self.record(t_bottleneck=max(unit.t_all, default=MIN_TIME_FLOOR))
         return unit
 
 
@@ -371,8 +373,6 @@ class FixedSolvePass(CompilerPass):
                 fixed,
                 solutions[anchor].alphas,
                 unit.t_all[anchor],
-                context.feasibility_growth,
-                context.max_feasibility_iters,
             )
             unit.warnings.extend(fixed_warnings)
 
@@ -383,7 +383,6 @@ class FixedSolvePass(CompilerPass):
                 unit.fixed_solutions,
                 alphas,
                 unit.t_dynamic[index],
-                context.t_floor,
             )
             for strategy_index, _strategy in enumerate(fixed):
                 solution = unit.fixed_solutions[strategy_index]
@@ -859,7 +858,7 @@ class ScheduleCompactionPass(CompilerPass):
 
     A segment whose every channel evaluates to (numerically) zero
     amplitude — and whose target coefficient vector is itself zero —
-    contributes only an identity evolution of length ``t_floor``;
+    contributes only an identity evolution of length ``MIN_TIME_FLOOR``;
     dropping it preserves the program's unitary while shortening the
     schedule, its validation, and every downstream simulation.  On
     devices with always-on fixed interactions (Rydberg Van der Waals)

@@ -3,8 +3,9 @@
 The registry maps stable pass names — the identifiers used by
 ``compiler.passes`` sections in experiment specs and by the CLI — to
 pass classes.  A :class:`PipelineConfig` describes a pipeline as a
-delta from the default: optional passes to *enable*, passes to
-*disable*, and an optional explicit *order*.  :func:`build_pipeline`
+delta from the default: the optional passes to *enable*.  Each optional
+pass has one fixed slot, so a pipeline has exactly one spelling and the
+pass order is never configurable.  :func:`build_pipeline`
 turns a validated configuration into a runnable
 :class:`~repro.core.pipeline.manager.PassManager`.
 
@@ -87,24 +88,15 @@ _INSERT_BEFORE: Dict[str, str] = {
     ScheduleCompactionPass.name: EmitSchedulePass.name,
 }
 
-#: Names that may appear in a ``disable`` list.  ``refinement`` stays in
-#: the pipeline (its dynamic solve is structurally required) but runs
-#: with the L1-refinement step switched off.
-_DISABLEABLE: Tuple[str, ...] = (RefinementPass.name,) + OPTIONAL_PASSES
+#: The keys a ``passes`` mapping accepts.
+_PASSES_KEYS: Tuple[str, ...] = ("enable",)
 
-#: Hard dependency constraints an explicit ``order`` must respect:
-#: each pair ``(before, after)`` says *before* must precede *after*
-#: whenever both are present.
-_ORDER_CONSTRAINTS: Tuple[Tuple[str, str], ...] = (
-    (TermFusionPass.name, BuildLinearSystemPass.name),
-    (BuildLinearSystemPass.name, TimeOptimizationPass.name),
-    (PartitionPass.name, TimeOptimizationPass.name),
-    (TimeOptimizationPass.name, FixedSolvePass.name),
-    (FixedSolvePass.name, RefinementPass.name),
-    (RefinementPass.name, ScheduleCompactionPass.name),
-    (RefinementPass.name, EmitSchedulePass.name),
-    (ScheduleCompactionPass.name, EmitSchedulePass.name),
-)
+#: Keys a ``passes`` mapping no longer accepts, with what to use instead.
+_REMOVED_KEYS: Dict[str, str] = {
+    "disable": "use refine=False to skip the L1 refinement; optional "
+    "passes run only when listed in 'enable'",
+    "order": "the pass order is fixed",
+}
 
 
 @dataclass(frozen=True)
@@ -114,38 +106,21 @@ class PipelineConfig:
     Attributes
     ----------
     enable:
-        Optional passes to add (subset of :data:`OPTIONAL_PASSES`).
-    disable:
-        Passes to switch off — optional passes are removed;
-        ``refinement`` keeps its dynamic solve but skips the L1 step.
-    order:
-        Explicit full ordering of the resolved pass set; empty means
-        canonical order.
+        Optional passes to add (subset of :data:`OPTIONAL_PASSES`), in
+        canonical :data:`OPTIONAL_PASSES` order without duplicates once
+        validated by :func:`normalize_passes_config`.
     """
 
     enable: Tuple[str, ...] = ()
-    disable: Tuple[str, ...] = ()
-    order: Tuple[str, ...] = ()
 
     @property
     def is_default(self) -> bool:
         """True when this config selects the default pipeline."""
-        return not (self.enable or self.disable or self.order)
+        return not self.enable
 
     def as_pairs(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-        """The canonical hashable form (sorted key/value-tuple pairs)."""
-        pairs = []
-        if self.enable:
-            pairs.append(("enable", self.enable))
-        if self.disable:
-            pairs.append(("disable", self.disable))
-        if self.order:
-            pairs.append(("order", self.order))
-        return tuple(pairs)
-
-    def to_dict(self) -> Dict[str, List[str]]:
-        """The JSON-serializable form (inverse of the spec section)."""
-        return {key: list(values) for key, values in self.as_pairs()}
+        """The canonical hashable form: ``(("enable", names),)`` or ``()``."""
+        return (("enable", self.enable),) if self.enable else ()
 
 
 def _as_name_tuple(value: object, where: str) -> Tuple[str, ...]:
@@ -172,96 +147,68 @@ def normalize_passes_config(
     """Validate any accepted ``passes`` form into a :class:`PipelineConfig`.
 
     Accepts ``None`` (default pipeline), an existing config, a mapping
-    with ``enable``/``disable``/``order`` keys, or the hashable
-    pair-tuple form produced by :meth:`PipelineConfig.as_pairs` (which
-    is how configs travel through batch-job keys).
+    with an ``enable`` key, or the hashable pair-tuple form produced by
+    :meth:`PipelineConfig.as_pairs` (which is how configs travel
+    through batch-job keys).  Every spelling of one pipeline yields the
+    same config: ``enable`` is put in :data:`OPTIONAL_PASSES` order and
+    repeats are dropped.
 
     Raises
     ------
     repro.errors.CompilationError
-        On unknown keys, unknown pass names, non-disableable passes, or
-        an ``order`` that is not a valid permutation.
+        On unknown or removed keys (``disable``, ``order``; the message
+        names the replacement), unknown pass names, or default passes
+        listed in ``enable``.
     """
     if config is None:
         return PipelineConfig()
     if isinstance(config, PipelineConfig):
-        parsed = config
+        enable = config.enable
     else:
         if not isinstance(config, Mapping):
             try:
                 config = dict(config)
             except (TypeError, ValueError):
                 raise CompilationError(
-                    "compiler passes config must be a mapping with "
-                    f"'enable'/'disable'/'order' keys, got {config!r}"
+                    "compiler passes config must be a mapping with an "
+                    f"'enable' key, got {config!r}"
                 ) from None
-        unknown = sorted(set(config) - {"enable", "disable", "order"})
+        for key, replacement in _REMOVED_KEYS.items():
+            if key in config:
+                raise CompilationError(
+                    f"compiler.passes.{key} was removed: {replacement}"
+                )
+        unknown = sorted(set(config) - set(_PASSES_KEYS))
         if unknown:
             raise CompilationError(
                 f"unknown compiler.passes key(s) {unknown}; allowed: "
-                "['disable', 'enable', 'order']"
+                f"{list(_PASSES_KEYS)}"
             )
-        parsed = PipelineConfig(
-            enable=_as_name_tuple(
-                config.get("enable", ()), "compiler.passes.enable"
-            ),
-            disable=_as_name_tuple(
-                config.get("disable", ()), "compiler.passes.disable"
-            ),
-            order=_as_name_tuple(
-                config.get("order", ()), "compiler.passes.order"
-            ),
+        enable = _as_name_tuple(
+            config.get("enable", ()), "compiler.passes.enable"
         )
 
     known = sorted(PASS_REGISTRY)
-    for name in parsed.enable + parsed.disable + parsed.order:
+    for name in enable:
         if name not in PASS_REGISTRY:
             raise CompilationError(
                 f"unknown compiler pass {name!r}; known passes: {known}"
             )
-    for name in parsed.enable:
         if name not in OPTIONAL_PASSES:
             raise CompilationError(
                 f"pass {name!r} is part of the default pipeline; only "
                 f"{list(OPTIONAL_PASSES)} can be enabled"
             )
-    for name in parsed.disable:
-        if name not in _DISABLEABLE:
-            raise CompilationError(
-                f"pass {name!r} cannot be disabled; disableable passes: "
-                f"{sorted(_DISABLEABLE)}"
-            )
-    resolve_pass_names(parsed)  # validates the order permutation too
-    return parsed
+    return PipelineConfig(
+        enable=tuple(name for name in OPTIONAL_PASSES if name in enable)
+    )
 
 
 def resolve_pass_names(config: PipelineConfig) -> List[str]:
     """The concrete pass list a configuration selects, in run order."""
     names = list(DEFAULT_PASSES)
     for name in config.enable:
-        if name in names or name in config.disable:
-            continue
         names.insert(names.index(_INSERT_BEFORE[name]), name)
-    names = [
-        n
-        for n in names
-        if not (n in OPTIONAL_PASSES and n in config.disable)
-    ]
-    if config.order:
-        if sorted(config.order) != sorted(names):
-            raise CompilationError(
-                f"compiler.passes.order must be a permutation of "
-                f"{names}, got {list(config.order)}"
-            )
-        position = {name: k for k, name in enumerate(config.order)}
-        for before, after in _ORDER_CONSTRAINTS:
-            if before in position and after in position:
-                if position[before] > position[after]:
-                    raise CompilationError(
-                        f"invalid pass order: {before!r} must run "
-                        f"before {after!r}"
-                    )
-        names = list(config.order)
     return names
 
 
@@ -275,15 +222,14 @@ def build_pipeline(
     config:
         A validated pipeline configuration (None for the default).
     refine:
-        The compiler's ``refine`` knob; combined with a disabled
-        ``refinement`` pass it controls the L1-refinement step.
+        The compiler's ``refine`` knob: whether the ``refinement`` pass
+        runs its L1-refinement step.
     """
     config = config if config is not None else PipelineConfig()
-    apply_refinement = refine and RefinementPass.name not in config.disable
     passes: List[CompilerPass] = []
     for name in resolve_pass_names(config):
         if name == RefinementPass.name:
-            passes.append(RefinementPass(apply_refinement=apply_refinement))
+            passes.append(RefinementPass(apply_refinement=refine))
         else:
             passes.append(PASS_REGISTRY[name]())
     return PassManager(passes)

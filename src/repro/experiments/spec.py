@@ -49,16 +49,18 @@ DEVICE_CHOICES = DEVICE_PRESETS
 #: ``passes`` is special-cased: its mapping value is validated against
 #: the pass registry and canonicalized to a hashable pair form.
 _COMPILER_KNOBS = frozenset(
-    {
-        "refine",
-        "use_analytic_solvers",
-        "t_floor",
-        "feasibility_growth",
-        "max_feasibility_iters",
-        "passes",
-        "snapshots",
-    }
+    {"refine", "use_analytic_solvers", "passes", "snapshots"}
 )
+
+#: Former compiler knobs, each with the constant that replaced it.
+_REMOVED_COMPILER_KNOBS = {
+    "t_floor": "the evolution-time floor is the constant "
+    "repro.core.time_optimizer.MIN_TIME_FLOOR",
+    "feasibility_growth": "the time-stretch factor is the constant "
+    "repro.core.pipeline.passes.FEASIBILITY_GROWTH",
+    "max_feasibility_iters": "the time-stretch cap is the constant "
+    "repro.core.pipeline.passes.MAX_FEASIBILITY_ITERS",
+}
 
 #: Device-preset overrides understood by :func:`repro.aais.aais_for_device`.
 _DEVICE_OPTION_KEYS = frozenset(
@@ -123,11 +125,11 @@ def _pairs(section: Optional[Mapping]) -> Tuple[Tuple[str, object], ...]:
 def _normalize_compiler(section: Mapping) -> Dict[str, object]:
     """Validate the compiler section, canonicalizing the passes config.
 
-    The ``passes`` value — a mapping with ``enable``/``disable``/
-    ``order`` lists of pass names — is validated against the compiler's
-    pass registry at load time and frozen into the hashable pair form
-    that travels through batch-job keys; a default (empty) config is
-    dropped entirely so it never perturbs the spec hash.
+    The ``passes`` value — a mapping with an ``enable`` list of pass
+    names — is validated against the compiler's pass registry at load
+    time and frozen into the canonical hashable pair form that travels
+    through batch-job keys; a default (empty) config is dropped
+    entirely so it never perturbs the spec hash.
 
     ``snapshots`` is special-cased the same way: it must be a boolean
     (opt in/out of the runner-managed snapshot store) or a string (an
@@ -602,6 +604,11 @@ class ExperimentSpec:
 
         compiler = data.get("compiler") or {}
         _require(isinstance(compiler, Mapping), "compiler must be a mapping")
+        for knob, replacement in _REMOVED_COMPILER_KNOBS.items():
+            _require(
+                knob not in compiler,
+                f"compiler.{knob} was removed: {replacement}",
+            )
         _check_keys(compiler, sorted(_COMPILER_KNOBS), "compiler")
         compiler = _normalize_compiler(compiler)
 

@@ -228,6 +228,8 @@ class ServiceState:
                 return ExperimentSpec.from_dict(spec_dict)
             except ReproError as error:
                 raise ServiceError(400, f"invalid spec: {error}") from None
+        if kind == "simulate":
+            _check_simulate_fields(request)
         try:
             return self._workload_job(request, digest)
         except ReproError as error:
@@ -274,12 +276,17 @@ class ServiceState:
             "snapshots": str(self.snapshots.root)
         }
         if "refine" in request:
-            options["refine"] = bool(request["refine"])
+            refine = request["refine"]
+            if not isinstance(refine, bool):
+                raise ServiceError(
+                    400, f"'refine' must be a JSON boolean, got {refine!r}"
+                )
+            options["refine"] = refine
         passes = request.get("passes")
         if passes is not None:
             if not isinstance(passes, dict):
                 raise ServiceError(
-                    400, "'passes' must be an object with enable/disable lists"
+                    400, "'passes' must be an object with an 'enable' list"
                 )
             from repro.core.pipeline.registry import normalize_passes_config
 
@@ -343,14 +350,14 @@ class ServiceState:
         payload = _compile_payload(result)
         if result.success and result.schedule is not None:
             simulator = NoisySimulator(
-                noise_samples=int(request.get("noise_samples", 20)),
-                seed=int(request.get("seed", 0)),
+                noise_samples=request.get("noise_samples", 20),
+                seed=request.get("seed", 0),
                 backend=request.get("backend", "auto"),
             )
             payload["observables"] = simulator.observables(
-                result.schedule, shots=int(request.get("shots", 1000))
+                result.schedule, shots=request.get("shots", 1000)
             )
-            payload["shots"] = int(request.get("shots", 1000))
+            payload["shots"] = request.get("shots", 1000)
         self._finish(job, payload)
 
     def _execute_run(self, job: Job) -> None:
@@ -391,6 +398,28 @@ class ServiceState:
     def close(self) -> None:
         """Drain and stop the queue worker."""
         self.queue.close()
+
+
+def _check_simulate_fields(request: Dict) -> None:
+    """Reject malformed ``simulate`` fields before anything is compiled."""
+    from repro.sim.propagators import BACKEND_NAMES
+
+    # ``type(...) is int`` also rejects JSON booleans (a bool is an int).
+    for key in ("shots", "noise_samples"):
+        value = request.get(key, 1)
+        if type(value) is not int or value < 1:
+            raise ServiceError(
+                400, f"'{key}' must be a positive int, got {value!r}"
+            )
+    seed = request.get("seed", 0)
+    if type(seed) is not int:
+        raise ServiceError(400, f"'seed' must be an int, got {seed!r}")
+    backend = request.get("backend", "auto")
+    if backend not in BACKEND_NAMES:
+        raise ServiceError(
+            400,
+            f"unknown backend {backend!r}; choose from {list(BACKEND_NAMES)}",
+        )
 
 
 def _canonical_request(kind: str, request: Dict) -> Dict:

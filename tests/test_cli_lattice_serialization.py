@@ -71,6 +71,21 @@ class TestCLI:
         )
         assert code == 0
 
+    def test_disable_pass_flag_names_no_refine(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "compile",
+                    "--model",
+                    "ising_chain",
+                    "--disable-pass",
+                    "refinement",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--disable-pass" in err and "--no-refine" in err
+
     def test_compare_command(self, capsys):
         code = main(
             ["compare", "--model", "ising_chain", "-n", "3", "--seed", "0"]

@@ -162,10 +162,6 @@ class TestErrorHandling:
         with pytest.raises(CompilationError):
             QTurboCompiler(paper_aais).compile(ising_chain(5), 1.0)
 
-    def test_bad_growth_factor(self, paper_aais):
-        with pytest.raises(CompilationError):
-            QTurboCompiler(paper_aais, feasibility_growth=1.0)
-
     def test_unrealizable_sign_reported_as_error(self, paper_aais):
         # A negative ZZ coupling cannot be realized by repulsive vdW:
         # the bounded linear solve clips it to zero and the result
@@ -176,7 +172,8 @@ class TestErrorHandling:
         assert result.success
         assert result.relative_error > 0.4
 
-    def test_trap_too_small_fails(self):
+    def test_trap_too_small_fails(self, monkeypatch):
+        import repro.core.pipeline.passes as pipeline_passes
         from repro.devices import RydbergSpec
         from repro.devices.base import TrapGeometry
 
@@ -189,9 +186,8 @@ class TestErrorHandling:
             max_time=4.0,
         )
         aais = RydbergAAIS(4, spec=spec)
-        result = QTurboCompiler(aais, max_feasibility_iters=5).compile(
-            ising_chain(4), 1.0
-        )
+        monkeypatch.setattr(pipeline_passes, "MAX_FEASIBILITY_ITERS", 5)
+        result = QTurboCompiler(aais).compile(ising_chain(4), 1.0)
         if result.success:
             # If the solver squeezed a layout in, it must be flagged.
             assert result.warnings or result.relative_error > 0.05

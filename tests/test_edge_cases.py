@@ -7,6 +7,7 @@ import pytest
 
 from repro import QTurboCompiler
 from repro.aais import HeisenbergAAIS, RydbergAAIS
+from repro.core.time_optimizer import MIN_TIME_FLOOR
 from repro.devices import HeisenbergSpec, RydbergSpec, aquila_spec
 from repro.devices.base import TrapGeometry
 from repro.hamiltonian import Hamiltonian, PauliString, x, z, zz
@@ -32,9 +33,7 @@ class TestCompilerEdgeCases:
         result = QTurboCompiler(paper_aais).compile(target, 1.0)
         # A global phase needs no drive at all.
         assert result.success
-        assert result.execution_time == pytest.approx(
-            QTurboCompiler(paper_aais).t_floor
-        )
+        assert result.execution_time == pytest.approx(MIN_TIME_FLOOR)
 
     def test_tiny_target_time(self, paper_aais):
         result = QTurboCompiler(paper_aais).compile(ising_chain(3), 1e-3)

@@ -210,15 +210,14 @@ class TestCompilerPassesSection:
         spec = _spec(
             compiler={
                 "passes": {
-                    "enable": ["term_fusion", "schedule_compaction"],
-                    "disable": ["refinement"],
-                }
+                    "enable": ["schedule_compaction", "term_fusion"],
+                },
+                "refine": False,
             }
         )
         data = spec.to_dict()
         assert data["compiler"]["passes"] == {
             "enable": ["term_fusion", "schedule_compaction"],
-            "disable": ["refinement"],
         }
         again = ExperimentSpec.from_dict(data)
         assert again.spec_hash == spec.spec_hash
@@ -232,12 +231,27 @@ class TestCompilerPassesSection:
         with pytest.raises(ExperimentError, match="unknown compiler pass"):
             _spec(compiler={"passes": {"enable": ["bogus"]}})
 
+    @pytest.mark.parametrize(
+        "compiler, replacement",
+        [
+            ({"t_floor": 0.01}, "MIN_TIME_FLOOR"),
+            ({"feasibility_growth": 1.3}, "FEASIBILITY_GROWTH"),
+            ({"max_feasibility_iters": 3}, "MAX_FEASIBILITY_ITERS"),
+            ({"passes": {"disable": ["refinement"]}}, "refine=False"),
+        ],
+    )
+    def test_removed_options_name_their_replacement(
+        self, compiler, replacement
+    ):
+        with pytest.raises(ExperimentError, match=replacement):
+            _spec(compiler=compiler)
+
     def test_system_cache_size_is_not_a_knob(self):
         with pytest.raises(ExperimentError, match="unknown key"):
             _spec(compiler={"system_cache_size": 4})
 
     def test_bad_order_fails_at_load_time(self):
-        with pytest.raises(ExperimentError, match="must run before"):
+        with pytest.raises(ExperimentError, match="pass order is fixed"):
             _spec(
                 compiler={
                     "passes": {

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 import repro.core.compiler as compiler_module
+import repro.core.pipeline.passes as pipeline_passes
 from repro.aais import HeisenbergAAIS, RydbergAAIS
 from repro.aais.base import AAIS, Instruction
 from repro.aais.channels import ScaledVariableChannel
@@ -22,6 +23,7 @@ from repro.core.pipeline import (
     PassManager,
     PipelineConfig,
     build_pipeline,
+    compiler_fingerprint,
     normalize_passes_config,
     resolve_pass_names,
     trace_table,
@@ -83,35 +85,72 @@ class TestPassManagerAndConfig:
             normalize_passes_config({"enable": ["partition"]})
 
     def test_structural_pass_cannot_be_disabled(self):
-        with pytest.raises(CompilationError, match="cannot be disabled"):
+        with pytest.raises(CompilationError, match="disable was removed"):
             normalize_passes_config({"disable": ["emit_schedule"]})
 
-    def test_order_must_be_permutation(self):
-        with pytest.raises(CompilationError, match="permutation"):
-            normalize_passes_config({"order": ["partition"]})
+    @pytest.mark.parametrize(
+        "passes, replacement",
+        [
+            ({"disable": ["refinement"]}, "refine=False"),
+            ({"disable": ["term_fusion"]}, "refine=False"),
+            ({"order": list(DEFAULT_PASSES)}, "pass order is fixed"),
+            ((("order", tuple(DEFAULT_PASSES)),), "pass order is fixed"),
+        ],
+    )
+    def test_removed_passes_keys_name_their_replacement(
+        self, passes, replacement
+    ):
+        with pytest.raises(CompilationError, match=replacement):
+            QTurboCompiler(HeisenbergAAIS(2), passes=passes)
 
-    def test_order_must_respect_dependencies(self):
-        bad = list(DEFAULT_PASSES)
-        bad.remove("emit_schedule")
-        bad.insert(0, "emit_schedule")
-        with pytest.raises(CompilationError, match="must run before"):
-            normalize_passes_config({"order": bad})
+    @pytest.mark.parametrize(
+        "knob", ["t_floor", "feasibility_growth", "max_feasibility_iters"]
+    )
+    def test_feasibility_knobs_are_not_options(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            QTurboCompiler(HeisenbergAAIS(2), **{knob: 1.5})
 
-    def test_legal_reorder_accepted(self):
-        # partition only needs the channels, so it may precede the build.
-        order = ["partition"] + [
-            n for n in DEFAULT_PASSES if n != "partition"
-        ]
-        config = normalize_passes_config({"order": order})
-        assert resolve_pass_names(config) == order
+    def test_one_spelling_one_fingerprint_and_spec_hash(self):
+        from repro.experiments.spec import ExperimentSpec
+
         aais = HeisenbergAAIS(3)
-        reordered = QTurboCompiler(aais, passes={"order": order})
-        default = QTurboCompiler(aais)
-        target = ising_chain(3)
-        assert (
-            reordered.compile(target, 1.0).schedule.to_dict()
-            == default.compile(target, 1.0).schedule.to_dict()
-        )
+        groups = [
+            [None, {}, {"enable": []}],
+            [
+                {"enable": ["term_fusion", "schedule_compaction"]},
+                {"enable": ["schedule_compaction", "term_fusion"]},
+                {"enable": ["schedule_compaction", "term_fusion"] * 2},
+            ],
+            [
+                {"enable": ["term_fusion"]},
+                {"enable": ["term_fusion", "term_fusion"]},
+            ],
+        ]
+        fingerprints, spec_hashes = [], []
+        for spellings in groups:
+            fingerprints.append(
+                {
+                    compiler_fingerprint(QTurboCompiler(aais, passes=p))
+                    for p in spellings
+                }
+            )
+            spec_hashes.append(
+                {
+                    ExperimentSpec.from_dict(
+                        {
+                            "name": "one-spelling",
+                            "model": {"name": "ising_chain"},
+                            "compiler": {} if p is None else {"passes": p},
+                        }
+                    ).spec_hash
+                    for p in spellings
+                }
+            )
+        assert [len(f) for f in fingerprints] == [1, 1, 1]
+        assert [len(h) for h in spec_hashes] == [1, 1, 1]
+        # Distinct pipelines keep distinct identities.
+        assert len(set().union(*fingerprints)) == len(groups)
+        assert len(set().union(*spec_hashes)) == len(groups)
 
     def test_pair_tuple_form_round_trips(self):
         config = normalize_passes_config({"enable": ["term_fusion"]})
@@ -193,9 +232,10 @@ class TestTraceAndTimings:
             v for k, v in timings.items() if k != "total"
         )
 
-    def test_failed_compilation_keeps_partial_trace(self):
+    def test_failed_compilation_keeps_partial_trace(self, monkeypatch):
+        monkeypatch.setattr(pipeline_passes, "MAX_FEASIBILITY_ITERS", 0)
         aais = RydbergAAIS(2, spec=paper_example_spec())
-        compiler = QTurboCompiler(aais, max_feasibility_iters=0)
+        compiler = QTurboCompiler(aais)
         # A huge ZZ coupling forces spacing below the hardware minimum.
         result = compiler.compile(parse_hamiltonian("5000*Z0*Z1"), 1.0)
         if not result.success:

@@ -332,3 +332,50 @@ def test_cache_stats_cli_reports_degraded(tmp_path, capsys):
     # The CLI scan is deep: a bit-flipped blob must not count as usable.
     assert disk["degraded"] == 1
     assert disk["families"] == 0
+
+
+# ----------------------------------------------------------------------
+# Request intake: malformed fields are 400s, never enqueued
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def service_state(tmp_path):
+    from repro.service.app import ServiceConfig, ServiceState
+
+    state = ServiceState(ServiceConfig(data_dir=tmp_path, executor="serial"))
+    yield state
+    state.close()
+
+
+_WORKLOAD = {"model": "ising_chain", "qubits": 3, "time": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kind, fields, needle",
+    [
+        ("compile", {"refine": "false"}, "'refine' must be a JSON boolean"),
+        ("compile", {"refine": 0}, "'refine' must be a JSON boolean"),
+        ("compile", {"passes": {"disable": ["refinement"]}}, "refine=False"),
+        ("compile", {"passes": {"order": ["partition"]}}, "pass order is fixed"),
+        ("simulate", {"backend": "bogus"}, "unknown backend 'bogus'"),
+        ("simulate", {"shots": 0}, "'shots' must be a positive int"),
+        ("simulate", {"shots": "many"}, "'shots' must be a positive int"),
+        ("simulate", {"noise_samples": -1}, "'noise_samples' must be a positive int"),
+        ("simulate", {"seed": 1.5}, "'seed' must be an int"),
+    ],
+)
+def test_submit_rejects_malformed_fields(service_state, kind, fields, needle):
+    with pytest.raises(ServiceError) as exc:
+        service_state.submit(kind, {**_WORKLOAD, **fields})
+    assert exc.value.status == 400
+    assert needle in exc.value.message
+    assert service_state.stats()["service"]["bad_requests"] == 1
+    assert service_state.queue.stats()["submitted"] == 0
+
+
+def test_submit_accepts_a_boolean_refine(service_state):
+    job = service_state.submit("compile", {**_WORKLOAD, "refine": False})
+    assert job.wait(60.0) and job.status == "done"
+    offline = QTurboCompiler(
+        aais_for_device("rydberg-1d", 3), refine=False
+    ).compile(ising_chain(3), 1.0)
+    assert job.result["result"]["schedule"] == offline.schedule.to_dict()

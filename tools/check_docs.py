@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health checks (run by the CI ``docs`` job).
 
-Six passes, all stdlib-only:
+Seven passes, all stdlib-only:
 
 1. **Links** — every relative markdown link target in README.md and
    docs/*.md must exist on disk.
@@ -27,6 +27,11 @@ Six passes, all stdlib-only:
    every HTTP route in repro/service/routes.py ROUTE_PATHS plus the
    ``serve``/``submit`` CLI commands, so the service surface cannot
    change without its protocol document following.
+7. **Compiler options** — the ``compiler`` row of docs/experiments.md
+   must name exactly the knobs in experiments/spec.py
+   ``_COMPILER_KNOBS``, and its ``compiler.passes`` table exactly the
+   keys in core/pipeline/registry.py ``_PASSES_KEYS``; both directions
+   are checked, so a removed option cannot linger in the docs.
 
 Exit status is the number of problems found.
 """
@@ -142,20 +147,30 @@ def check_pass_table(problems: list) -> None:
 
 
 def _ast_string_list(path: Path, target: str) -> list:
-    """The string elements assigned to ``target`` at module level."""
+    """The string elements assigned to ``target`` at module level.
+
+    Reads list, tuple and set literals, bare or wrapped in a one-argument
+    call such as ``frozenset({...})``, with or without an annotation.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
             continue
         if not any(
-            isinstance(t, ast.Name) and t.id == target
-            for t in node.targets
+            isinstance(t, ast.Name) and t.id == target for t in targets
         ):
             continue
-        if isinstance(node.value, (ast.List, ast.Tuple)):
+        value = node.value
+        if isinstance(value, ast.Call) and len(value.args) == 1:
+            value = value.args[0]
+        if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
             return [
                 element.value
-                for element in node.value.elts
+                for element in value.elts
                 if isinstance(element, ast.Constant)
                 and isinstance(element.value, str)
             ]
@@ -230,6 +245,60 @@ def check_service_doc(problems: list) -> None:
             )
 
 
+def _compare_names(problems: list, where: str, documented, declared) -> None:
+    """Report names documented but not declared, and the reverse."""
+    for name in sorted(set(documented) - set(declared)):
+        problems.append(f"{where}: documents {name!r}, which the code does not accept")
+    for name in sorted(set(declared) - set(documented)):
+        problems.append(f"{where}: does not document accepted {name!r}")
+
+
+def check_compiler_options(problems: list) -> None:
+    """Pass 7: documented compiler options match the accepted ones.
+
+    The ``compiler`` row of docs/experiments.md names the knobs in
+    ``_COMPILER_KNOBS`` (the lowercase backticked names of its last
+    cell) and the ``compiler.passes`` section's table names the keys
+    in ``_PASSES_KEYS`` (the first cell of each row).
+    """
+    text = (REPO / "docs/experiments.md").read_text(encoding="utf-8")
+    knobs = _ast_string_list(
+        REPO / "src/repro/experiments/spec.py", "_COMPILER_KNOBS"
+    )
+    passes_keys = _ast_string_list(
+        REPO / "src/repro/core/pipeline/registry.py", "_PASSES_KEYS"
+    )
+    if not knobs or not passes_keys:
+        problems.append(
+            "_COMPILER_KNOBS / _PASSES_KEYS not extractable from the source"
+        )
+    row = re.search(r"^\| `compiler` \|.*\|(.*)\|\s*$", text, re.MULTILINE)
+    if row is None:
+        problems.append("docs/experiments.md: no `compiler` row")
+    else:
+        documented = re.findall(r"`([a-z_]+)`", row.group(1))
+        _compare_names(
+            problems, "docs/experiments.md compiler row", documented, knobs
+        )
+    section = re.search(
+        r"^### `compiler\.passes`$(.*?)(?=^### |\Z)",
+        text,
+        re.MULTILINE | re.DOTALL,
+    )
+    if section is None:
+        problems.append("docs/experiments.md: no `compiler.passes` section")
+    else:
+        documented = re.findall(
+            r"^\| `([a-z_]+)` \|", section.group(1), re.MULTILINE
+        )
+        _compare_names(
+            problems,
+            "docs/experiments.md compiler.passes table",
+            documented,
+            passes_keys,
+        )
+
+
 def main() -> int:
     """Run all passes; print problems; return their count."""
     problems: list = []
@@ -239,6 +308,7 @@ def main() -> int:
     check_pass_table(problems)
     check_robustness_doc(problems)
     check_service_doc(problems)
+    check_compiler_options(problems)
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
     if not problems:
