@@ -42,12 +42,15 @@ from repro.testing.faults import fault_point
 __all__ = ["ExperimentRunner", "RunResult", "run_experiment"]
 
 
-def _build_workload(
+def build_workload(
     spec: ExperimentSpec, job_id: str, snapshot_dir: Optional[str] = None
 ):
     """Build ``(batch_job, time_independent_target, num_qubits)`` for a spec.
 
-    The time-independent target comes back ``None`` for time-dependent
+    This is the one place a workload description becomes a target, an
+    AAIS and compiler options: sweep jobs and service requests (which
+    arrive as one-point specs) both go through it.  The
+    time-independent target comes back ``None`` for time-dependent
     models (it only feeds the digital gate-count comparison).  The
     ``compiler.snapshots`` knob resolves here: a string names an
     explicit snapshot directory, ``false`` disables incremental
@@ -219,7 +222,7 @@ def execute_job(
     def _attempt() -> Dict[str, object]:
         fault_point("runner.job")
         sections: Dict[str, object] = {}
-        job, flat_target, num_qubits = _build_workload(
+        job, flat_target, num_qubits = build_workload(
             spec, job_id, snapshot_dir
         )
         sections["num_qubits"] = num_qubits

@@ -86,24 +86,34 @@ def _require(condition: bool, message: str) -> None:
         raise ExperimentError(message)
 
 
+def _is_int(value: object) -> bool:
+    """True for a real integer; a JSON/YAML boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_float(value: object, where: str) -> float:
-    """Coerce a spec value to float, failing as :class:`ExperimentError`."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            f"{where} must be a number, got {value!r}"
-        ) from None
+    """Coerce a spec value to float, failing as :class:`ExperimentError`.
+
+    Numeric strings are accepted because PyYAML loads ``1e-3`` as one.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ExperimentError(f"{where} must be a number, got {value!r}")
 
 
 def _as_int(value: object, where: str) -> int:
     """Coerce a spec value to int, failing as :class:`ExperimentError`."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            f"{where} must be an integer, got {value!r}"
-        ) from None
+    if not isinstance(value, bool) and not (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ExperimentError(f"{where} must be an integer, got {value!r}")
 
 
 def _check_keys(section: Mapping, allowed: Sequence[str], where: str) -> None:
@@ -134,9 +144,15 @@ def _normalize_compiler(section: Mapping) -> Dict[str, object]:
     ``snapshots`` is special-cased the same way: it must be a boolean
     (opt in/out of the runner-managed snapshot store) or a string (an
     explicit store directory), and the default ``true`` is dropped so
-    pre-existing specs keep their spec hash.
+    pre-existing specs keep their spec hash.  ``refine`` and
+    ``use_analytic_solvers`` must be booleans: ``"false"`` is truthy.
     """
     out = dict(section)
+    for knob in ("refine", "use_analytic_solvers"):
+        if knob in out and not isinstance(out[knob], bool):
+            raise ExperimentError(
+                f"compiler.{knob} takes a JSON boolean, got {out[knob]!r}"
+            )
     snapshots = out.get("snapshots")
     if snapshots is not None and not isinstance(snapshots, (bool, str)):
         raise ExperimentError(
@@ -194,7 +210,7 @@ class ModelSpec:
             )
         qubits = section.get("qubits", 3)
         _require(
-            isinstance(qubits, int) and qubits >= 1,
+            _is_int(qubits) and qubits >= 1,
             f"model.qubits must be a positive integer, got {qubits!r}",
         )
         params = section.get("params") or {}
@@ -281,11 +297,11 @@ class SimulationSpec:
         shots = section.get("shots", 1000)
         noise_samples = section.get("noise_samples", 20)
         _require(
-            isinstance(shots, int) and shots >= 1,
+            _is_int(shots) and shots >= 1,
             f"simulation.shots must be a positive integer, got {shots!r}",
         )
         _require(
-            isinstance(noise_samples, int) and noise_samples >= 1,
+            _is_int(noise_samples) and noise_samples >= 1,
             "simulation.noise_samples must be a positive integer, "
             f"got {noise_samples!r}",
         )
@@ -443,19 +459,19 @@ class ExecutionSpec:
         )
         workers = section.get("workers")
         _require(
-            workers is None or (isinstance(workers, int) and workers >= 1),
+            workers is None or (_is_int(workers) and workers >= 1),
             f"execution.workers must be a positive integer, got {workers!r}",
         )
         chunksize = section.get("chunksize")
         _require(
             chunksize is None
-            or (isinstance(chunksize, int) and chunksize >= 1),
+            or (_is_int(chunksize) and chunksize >= 1),
             f"execution.chunksize must be a positive integer, "
             f"got {chunksize!r}",
         )
         retries = section.get("retries", 0)
         _require(
-            isinstance(retries, int) and retries >= 0,
+            _is_int(retries) and retries >= 0,
             f"execution.retries must be a non-negative integer, "
             f"got {retries!r}",
         )
@@ -593,7 +609,7 @@ class ExperimentSpec:
         _require(time > 0, f"time must be positive, got {time}")
         segments = data.get("segments", 1)
         _require(
-            isinstance(segments, int) and segments >= 1,
+            _is_int(segments) and segments >= 1,
             f"segments must be a positive integer, got {segments!r}",
         )
         _require(
@@ -649,7 +665,7 @@ class ExperimentSpec:
         )
         verify_max_qubits = data.get("verify_max_qubits", 12)
         _require(
-            isinstance(verify_max_qubits, int) and verify_max_qubits >= 1,
+            _is_int(verify_max_qubits) and verify_max_qubits >= 1,
             "verify_max_qubits must be a positive integer, "
             f"got {verify_max_qubits!r}",
         )

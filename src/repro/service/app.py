@@ -4,8 +4,10 @@ A :class:`ReproService` is a long-running HTTP server (stdlib
 ``ThreadingHTTPServer`` — one thread per connection, no new
 dependencies) in front of a :class:`ServiceState`:
 
-* requests are validated in the handler thread and become digest-keyed
-  :class:`~repro.service.queue.Job` objects;
+* each request becomes a one-point
+  :class:`~repro.experiments.ExperimentSpec`, validated in the handler
+  thread by the spec validators, and a :class:`~repro.service.queue.Job`
+  keyed by the digest of the spec's canonical form;
 * the persistent :class:`~repro.service.store.ResultStore` is checked
   first — a warm store serves the request without touching the queue,
   across restarts and across tenants;
@@ -33,10 +35,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro import __version__
-from repro.batch.compiler import BatchCompiler
-from repro.batch.jobs import BatchJob
+from repro.batch.compiler import BatchCompiler, compiler_for
 from repro.core.pipeline.snapshot import SnapshotStore
 from repro.errors import ReproError
+from repro.experiments.runner import _simulation_sections, build_workload
+from repro.experiments.spec import ExperimentSpec
 from repro.service.queue import Job, JobQueue
 from repro.service.routes import ServiceError, dispatch
 from repro.service.store import ResultStore, job_digest
@@ -46,6 +49,13 @@ __all__ = ["ReproService", "ServiceConfig", "ServiceState"]
 
 #: Request kinds the service accepts (also the route suffixes).
 JOB_KINDS = ("compile", "simulate", "run")
+
+#: The flat keys of a compile/simulate body, which ``docs/service.md``
+#: lists.  The last four are simulate-only; a run body is ``{"spec": ...}``.
+_REQUEST_KEYS = (
+    "model", "hamiltonian", "qubits", "params", "device", "time",
+    "refine", "passes", "shots", "noise_samples", "seed", "backend",
+)
 
 
 @dataclass
@@ -160,21 +170,18 @@ class ServiceState:
         anything is enqueued.
         """
         self._counters.add("requests")
-        if kind not in JOB_KINDS:
-            self._counters.add("bad_requests")
-            raise ServiceError(400, f"unknown job kind {kind!r}")
-        if not isinstance(request, dict):
-            self._counters.add("bad_requests")
-            raise ServiceError(400, "request body must be a JSON object")
-        request = _canonical_request(kind, request)
-        digest = job_digest(kind, request)
-        stored = self.results.load(digest)
-        if stored is not None:
-            self._counters.add("store_hits")
-            return Job.completed(kind, digest, request, stored)
-        job = Job(kind, digest, request)
         try:
-            job.prepared = self._prepare(kind, request, digest)
+            spec = _request_spec(kind, request)
+            canonical = spec.to_dict()
+            if kind == "run":
+                canonical = {"spec": canonical}
+            digest = job_digest(kind, canonical)
+            stored = self.results.load(digest)
+            if stored is not None:
+                self._counters.add("store_hits")
+                return Job.completed(kind, digest, canonical, stored)
+            job = Job(kind, digest, canonical)
+            job.prepared = self._prepare(kind, spec, digest)
         except ServiceError:
             self._counters.add("bad_requests")
             raise
@@ -212,87 +219,18 @@ class ServiceState:
         }
 
     # ------------------------------------------------------------------
-    # Request validation / workload building
+    # Workload building
     # ------------------------------------------------------------------
-    def _prepare(self, kind: str, request: Dict, digest: str):
-        """Build the executable workload, raising ServiceError on 400s."""
+    def _prepare(self, kind: str, spec: ExperimentSpec, digest: str):
+        """The spec itself for a run, else its :class:`~repro.batch.BatchJob`
+        over the shared snapshot store (builder errors are 400s too)."""
         if kind == "run":
-            from repro.experiments.spec import ExperimentSpec
-
-            spec_dict = request.get("spec")
-            if not isinstance(spec_dict, dict):
-                raise ServiceError(
-                    400, "run request needs a 'spec' object (ExperimentSpec)"
-                )
-            try:
-                return ExperimentSpec.from_dict(spec_dict)
-            except ReproError as error:
-                raise ServiceError(400, f"invalid spec: {error}") from None
-        if kind == "simulate":
-            _check_simulate_fields(request)
+            return spec
         try:
-            return self._workload_job(request, digest)
+            job, _, _ = build_workload(spec, digest, str(self.snapshots.root))
         except ReproError as error:
             raise ServiceError(400, str(error)) from None
-
-    def _workload_job(self, request: Dict, digest: str) -> BatchJob:
-        """The :class:`BatchJob` for a compile/simulate workload request."""
-        from repro.aais import DEVICE_PRESETS, aais_for_device
-        from repro.hamiltonian import parse_hamiltonian
-        from repro.models import build_model, model_names
-
-        model = request.get("model")
-        hamiltonian = request.get("hamiltonian")
-        if (model is None) == (hamiltonian is None):
-            raise ServiceError(
-                400, "request needs exactly one of 'model' or 'hamiltonian'"
-            )
-        qubits = request.get("qubits", 3)
-        t_target = request.get("time", 1.0)
-        device = request.get("device", "rydberg-1d")
-        if not isinstance(qubits, int) or qubits < 1:
-            raise ServiceError(400, f"'qubits' must be a positive int, got {qubits!r}")
-        if not isinstance(t_target, (int, float)) or t_target <= 0:
-            raise ServiceError(400, f"'time' must be positive, got {t_target!r}")
-        if device not in DEVICE_PRESETS:
-            raise ServiceError(
-                400,
-                f"unknown device {device!r}; choose from {sorted(DEVICE_PRESETS)}",
-            )
-        if model is not None:
-            if model not in model_names():
-                raise ServiceError(
-                    400,
-                    f"unknown model {model!r}; choose from {model_names()}",
-                )
-            params = request.get("params") or {}
-            if not isinstance(params, dict):
-                raise ServiceError(400, "'params' must be an object")
-            target = build_model(model, qubits, **params)
-        else:
-            target = parse_hamiltonian(hamiltonian)
-        aais = aais_for_device(device, max(qubits, target.num_qubits()))
-        options: Dict[str, object] = {
-            "snapshots": str(self.snapshots.root)
-        }
-        if "refine" in request:
-            refine = request["refine"]
-            if not isinstance(refine, bool):
-                raise ServiceError(
-                    400, f"'refine' must be a JSON boolean, got {refine!r}"
-                )
-            options["refine"] = refine
-        passes = request.get("passes")
-        if passes is not None:
-            if not isinstance(passes, dict):
-                raise ServiceError(
-                    400, "'passes' must be an object with an 'enable' list"
-                )
-            from repro.core.pipeline.registry import normalize_passes_config
-
-            # as_pairs() is the hashable form batch-job keys require
-            options["passes"] = normalize_passes_config(passes).as_pairs()
-        return BatchJob.constant(digest, target, float(t_target), aais, **options)
+        return job
 
     # ------------------------------------------------------------------
     # Execution (queue worker thread)
@@ -340,24 +278,17 @@ class ServiceState:
 
     def _execute_simulate(self, job: Job) -> None:
         """Compile (through the shared store) then simulate one request."""
-        from repro.batch.compiler import compiler_for
-        from repro.sim import NoisySimulator
-
-        request = job.request
+        spec = ExperimentSpec.from_dict(job.request)
         result = compiler_for(job.prepared).compile_piecewise(
             job.prepared.target
         )
         payload = _compile_payload(result)
         if result.success and result.schedule is not None:
-            simulator = NoisySimulator(
-                noise_samples=request.get("noise_samples", 20),
-                seed=request.get("seed", 0),
-                backend=request.get("backend", "auto"),
+            simulation = spec.simulation
+            payload.update(
+                _simulation_sections(spec, result.schedule, simulation.seed)
             )
-            payload["observables"] = simulator.observables(
-                result.schedule, shots=request.get("shots", 1000)
-            )
-            payload["shots"] = request.get("shots", 1000)
+            payload["shots"] = simulation.shots
         self._finish(job, payload)
 
     def _execute_run(self, job: Job) -> None:
@@ -400,35 +331,64 @@ class ServiceState:
         self.queue.close()
 
 
-def _check_simulate_fields(request: Dict) -> None:
-    """Reject malformed ``simulate`` fields before anything is compiled."""
-    from repro.sim.propagators import BACKEND_NAMES
+def _request_spec(kind: str, request: Dict) -> ExperimentSpec:
+    """The one-point :class:`ExperimentSpec` a request body describes.
 
-    # ``type(...) is int`` also rejects JSON booleans (a bool is an int).
-    for key in ("shots", "noise_samples"):
-        value = request.get(key, 1)
-        if type(value) is not int or value < 1:
-            raise ServiceError(
-                400, f"'{key}' must be a positive int, got {value!r}"
-            )
-    seed = request.get("seed", 0)
-    if type(seed) is not int:
-        raise ServiceError(400, f"'seed' must be an int, got {seed!r}")
-    backend = request.get("backend", "auto")
-    if backend not in BACKEND_NAMES:
+    A compile/simulate body's flat keys map onto spec sections here; a
+    run body carries its spec.  All value checks are the spec
+    validators', so a request and a spec file accept the same values and
+    their errors name the same spec paths.
+    """
+    if kind not in JOB_KINDS:
+        raise ServiceError(400, f"unknown job kind {kind!r}")
+    if not isinstance(request, dict):
+        raise ServiceError(400, "request body must be a JSON object")
+    # ``wait`` and ``timeout`` steer blocking, not the job: never digested.
+    body = {k: v for k, v in request.items() if k not in ("wait", "timeout")}
+    accepted = {"run": ("spec",), "simulate": _REQUEST_KEYS}.get(
+        kind, _REQUEST_KEYS[:-4]
+    )
+    unknown = sorted(set(body) - set(accepted))
+    if unknown:
         raise ServiceError(
             400,
-            f"unknown backend {backend!r}; choose from {list(BACKEND_NAMES)}",
+            f"unknown request key(s) {unknown}; allowed: {sorted(accepted)}",
         )
+    if kind == "run":
+        data = body.get("spec")
+        if not isinstance(data, dict):
+            raise ServiceError(
+                400, "run request needs a 'spec' object (ExperimentSpec)"
+            )
+    else:
 
+        def pick(*keys):
+            """The subset of ``body`` under ``keys``."""
+            return {key: body[key] for key in keys if key in body}
 
-def _canonical_request(kind: str, request: Dict) -> Dict:
-    """Strip transport-only fields so equal workloads share a digest."""
-    return {
-        key: value
-        for key, value in sorted(request.items())
-        if key not in ("wait", "timeout")
-    }
+        model = pick("hamiltonian", "qubits", "params")
+        if "model" in body:
+            model["name"] = body["model"]
+        data = {
+            "name": kind,
+            "model": model,
+            **pick("device", "time"),
+            "compiler": pick("refine", "passes"),
+        }
+        if kind == "simulate":
+            data["simulation"] = pick("shots", "noise_samples", "seed", "backend")
+    try:
+        spec = ExperimentSpec.from_dict(data)
+    except ReproError as error:
+        raise ServiceError(400, str(error)) from None
+    # The wire has no ``segments``: time-dependent models run as specs.
+    if kind != "run" and spec.model.is_time_dependent:
+        raise ServiceError(
+            400,
+            f"model {spec.model.name!r} is time-dependent; submit it to "
+            "/v1/run as a spec with 'segments'",
+        )
+    return spec
 
 
 class _Handler(BaseHTTPRequestHandler):

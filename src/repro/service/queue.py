@@ -47,7 +47,8 @@ class Job:
     digest:
         Content digest of ``(kind, request)`` — the job id.
     request:
-        The validated request payload.
+        The canonical payload the digest covers (for service jobs, the
+        request's spec form).
     status:
         ``queued`` → ``running`` → ``done`` | ``failed``.
     source:

@@ -13,8 +13,8 @@ Endpoints
     Liveness: version, uptime, data directory.
 ``POST /v1/compile`` / ``POST /v1/simulate`` / ``POST /v1/run``
     Submit one job of that kind.  The body is the request payload;
-    the transport-only fields ``wait`` (default true) and ``timeout``
-    (seconds, default from the service config) control whether the
+    the transport-only fields ``wait`` (a JSON boolean, default true)
+    and ``timeout`` (seconds, default from the service config) control whether the
     call blocks for the result (200) or returns the job descriptor
     immediately / on timeout (202).
 ``GET /v1/jobs/<job_id>``
@@ -54,9 +54,12 @@ class ServiceError(Exception):
 def _submit(state, kind: str, body: Optional[Dict]) -> Tuple[int, Dict]:
     """Shared POST handler for the three job kinds."""
     body = body if isinstance(body, dict) else {}
-    wait = bool(body.get("wait", True))
+    wait = body.get("wait", True)
+    if not isinstance(wait, bool):
+        raise ServiceError(400, f"'wait' must be a JSON boolean, got {wait!r}")
     timeout = body.get("timeout", state.config.wait_timeout)
-    if not isinstance(timeout, (int, float)) or timeout < 0:
+    # ``type`` rather than ``isinstance``: a JSON boolean is no timeout.
+    if type(timeout) not in (int, float) or timeout < 0:
         raise ServiceError(400, f"'timeout' must be non-negative, got {timeout!r}")
     job = state.submit(kind, body)
     if wait:

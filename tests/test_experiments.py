@@ -158,6 +158,43 @@ class TestSpecValidation:
         with pytest.raises(ExperimentError, match="digital.epsilon"):
             _spec(digital={"epsilon": "tiny"})
 
+    @pytest.mark.parametrize(
+        "extra, needle",
+        [
+            ({"model": {"name": "ising_chain", "qubits": True}}, "model.qubits"),
+            ({"time": True}, "time must be a number"),
+            ({"segments": True}, "segments must be a positive integer"),
+            ({"verify_max_qubits": True}, "verify_max_qubits"),
+            ({"simulation": {"shots": True}}, "simulation.shots"),
+            ({"simulation": {"noise_samples": True}}, "simulation.noise_samples"),
+            ({"simulation": {"seed": True}}, "simulation.seed"),
+            ({"simulation": {"seed": 1.5}}, "simulation.seed"),
+            ({"baseline": {"seed": False}}, "baseline.seed"),
+            ({"execution": {"workers": True}}, "execution.workers"),
+            ({"execution": {"chunksize": True}}, "execution.chunksize"),
+            ({"execution": {"retries": True}}, "execution.retries"),
+            ({"execution": {"retry_backoff": True}}, "execution.retry_backoff"),
+            ({"execution": {"job_timeout": True}}, "execution.job_timeout"),
+            ({"compiler": {"refine": "false"}}, "compiler.refine"),
+            ({"compiler": {"refine": 0}}, "compiler.refine"),
+            (
+                {"compiler": {"use_analytic_solvers": "no"}},
+                "compiler.use_analytic_solvers",
+            ),
+        ],
+    )
+    def test_numbers_and_booleans_are_not_interchangeable(self, extra, needle):
+        """A boolean is not a number, ``"false"`` is not a boolean, and
+        a non-integral float is not an integer."""
+        with pytest.raises(ExperimentError, match=needle):
+            _spec(**extra)
+
+    def test_numeric_strings_and_integral_floats_still_load(self):
+        """PyYAML reads ``1e-3`` as a string; ``7.0`` is a whole seed."""
+        spec = _spec(digital={"epsilon": "1e-3"}, simulation={"seed": 7.0})
+        assert spec.digital.epsilon == 1e-3
+        assert spec.simulation.seed == 7
+
     def test_missing_file_is_experiment_error(self, tmp_path):
         with pytest.raises(ExperimentError, match="not found"):
             load_spec(tmp_path / "nope.yaml")

@@ -22,6 +22,7 @@ from repro.core.pipeline.snapshot import SnapshotStore
 from repro.models import ising_chain
 from repro.service import Job, JobQueue, ResultStore, job_digest
 from repro.service.routes import ServiceError, dispatch
+from repro.sim.propagators import BACKEND_NAMES
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +266,10 @@ def test_dispatch_error_mapping():
     with pytest.raises(ServiceError) as exc:
         dispatch(state, "GET", "/v1/nope", None)
     assert exc.value.status == 404
-    with pytest.raises(ServiceError) as exc:
-        dispatch(state, "POST", "/v1/compile", {"timeout": -1})
-    assert exc.value.status == 400
+    for body in ({"timeout": -1}, {"wait": "false"}, {"timeout": True}):
+        with pytest.raises(ServiceError) as exc:
+            dispatch(state, "POST", "/v1/compile", body)
+        assert exc.value.status == 400
 
 
 # ----------------------------------------------------------------------
@@ -352,15 +354,23 @@ _WORKLOAD = {"model": "ising_chain", "qubits": 3, "time": 1.0}
 @pytest.mark.parametrize(
     "kind, fields, needle",
     [
-        ("compile", {"refine": "false"}, "'refine' must be a JSON boolean"),
-        ("compile", {"refine": 0}, "'refine' must be a JSON boolean"),
+        ("compile", {"refine": "false"}, "compiler.refine takes a JSON boolean, got 'false'"),
+        ("compile", {"refine": 0}, "compiler.refine takes a JSON boolean, got 0"),
         ("compile", {"passes": {"disable": ["refinement"]}}, "refine=False"),
         ("compile", {"passes": {"order": ["partition"]}}, "pass order is fixed"),
-        ("simulate", {"backend": "bogus"}, "unknown backend 'bogus'"),
-        ("simulate", {"shots": 0}, "'shots' must be a positive int"),
-        ("simulate", {"shots": "many"}, "'shots' must be a positive int"),
-        ("simulate", {"noise_samples": -1}, "'noise_samples' must be a positive int"),
-        ("simulate", {"seed": 1.5}, "'seed' must be an int"),
+        ("simulate", {"backend": "bogus"},
+         f"simulation.backend must be one of {BACKEND_NAMES}, got 'bogus'"),
+        ("simulate", {"shots": 0}, "simulation.shots must be a positive integer, got 0"),
+        ("simulate", {"shots": "many"},
+         "simulation.shots must be a positive integer, got 'many'"),
+        ("simulate", {"noise_samples": -1},
+         "simulation.noise_samples must be a positive integer, got -1"),
+        ("simulate", {"seed": 1.5}, "simulation.seed must be an integer, got 1.5"),
+        ("compile", {"refien": False}, "unknown request key(s) ['refien']"),
+        ("compile", {"shots": 10}, "unknown request key(s) ['shots']"),
+        ("compile", {"model": "mis_chain"}, "model 'mis_chain' is time-dependent"),
+        ("compile", {"time": True}, "time must be a number, got True"),
+        ("compile", {"qubits": True}, "model.qubits must be a positive integer, got True"),
     ],
 )
 def test_submit_rejects_malformed_fields(service_state, kind, fields, needle):
@@ -379,3 +389,28 @@ def test_submit_accepts_a_boolean_refine(service_state):
         aais_for_device("rydberg-1d", 3), refine=False
     ).compile(ising_chain(3), 1.0)
     assert job.result["result"]["schedule"] == offline.schedule.to_dict()
+
+
+def test_equivalent_requests_share_one_job(service_state):
+    """Requests are digested in their canonical spec form, so each
+    spelling of one workload is a store hit on the first one's record."""
+    first = {**_WORKLOAD, "params": {"j": 1.0, "h": 0.5}}
+    job = service_state.submit("compile", first)
+    assert job.wait(60.0) and job.status == "done"
+    spellings = [
+        {**first, "passes": {}},
+        {**first, "time": 1},
+        {**first, "params": {"h": 0.5, "j": 1.0}},
+    ]
+    for spelling in spellings:
+        twin = service_state.submit("compile", spelling)
+        assert twin.digest == job.digest
+        assert twin.source == "store"
+
+    enabled = {**first, "passes": {"enable": ["term_fusion", "schedule_compaction"]}}
+    job = service_state.submit("compile", enabled)
+    assert job.wait(60.0) and job.status == "done"
+    reordered = {**first, "passes": {"enable": ["schedule_compaction", "term_fusion"]}}
+    twin = service_state.submit("compile", reordered)
+    assert twin.digest == job.digest
+    assert twin.source == "store"

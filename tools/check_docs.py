@@ -25,8 +25,10 @@ Seven passes, all stdlib-only:
    surface cannot drift from their documentation.
 6. **Service contract** — docs/service.md must name (in backticks)
    every HTTP route in repro/service/routes.py ROUTE_PATHS plus the
-   ``serve``/``submit`` CLI commands, so the service surface cannot
-   change without its protocol document following.
+   ``serve``/``submit`` CLI commands, and its request-keys table must
+   list exactly the keys in repro/service/app.py ``_REQUEST_KEYS``
+   (both directions), so the service surface cannot change without its
+   protocol document following.
 7. **Compiler options** — the ``compiler`` row of docs/experiments.md
    must name exactly the knobs in experiments/spec.py
    ``_COMPILER_KNOBS``, and its ``compiler.passes`` table exactly the
@@ -221,7 +223,9 @@ def check_service_doc(problems: list) -> None:
     docs/service.md owns the service protocol: every route declared in
     repro/service/routes.py ROUTE_PATHS and both service CLI commands
     must appear there inside a backticked span, so an endpoint cannot
-    be added or renamed without the protocol document following.
+    be added or renamed without the protocol document following.  The
+    first cells of its ``Request keys`` table must be exactly the
+    request keys the service accepts (``_REQUEST_KEYS``).
     """
     doc = REPO / "docs/service.md"
     if not doc.exists():
@@ -243,6 +247,23 @@ def check_service_doc(problems: list) -> None:
                 f"docs/service.md: {name!r} from the service surface is "
                 "not documented"
             )
+    keys = _ast_string_list(REPO / "src/repro/service/app.py", "_REQUEST_KEYS")
+    if not keys:
+        problems.append(
+            "src/repro/service/app.py: _REQUEST_KEYS not extractable"
+        )
+    section = re.search(
+        r"^### Request keys$(.*?)(?=^#|\Z)", text, re.MULTILINE | re.DOTALL
+    )
+    if section is None:
+        problems.append("docs/service.md: no `Request keys` section")
+    else:
+        documented_keys = re.findall(
+            r"^\| `([a-z_]+)` \|", section.group(1), re.MULTILINE
+        )
+        _compare_names(
+            problems, "docs/service.md request keys", documented_keys, keys
+        )
 
 
 def _compare_names(problems: list, where: str, documented, declared) -> None:
